@@ -52,7 +52,7 @@ start = time.perf_counter()
 import quadperfect.cli
 print(time.perf_counter() - start)
 """
-SETUP_REPEATS = 9
+SETUP_REPEATS = 10
 
 
 def load_library():
@@ -68,17 +68,22 @@ def load_library():
     return quadperfect, quadperfect.cli
 
 
-def child_median(args: list[str], env: dict, parse=None) -> float:
-    """Median over SETUP_REPEATS fresh interpreters, after one untimed run
-    that fills the bytecode cache."""
+def child_times(args: list[str], env: dict, count: int, parse=False) -> list[float]:
+    """Wall times of count fresh interpreters, or with parse the time each
+    one prints."""
     values = []
-    for i in range(SETUP_REPEATS + 1):
+    for _ in range(count):
         elapsed, code, out, err, _ = wl.run_child(args, str(ROOT), env)
         if code != 0:
             raise RuntimeError(f"child {args[:2]} exited {code}: {err.strip()[-300:]}")
-        if i:
-            values.append(float(out) if parse else elapsed)
-    return statistics.median(values)
+        values.append(float(out) if parse else elapsed)
+    return values
+
+
+def child_median(args: list[str], env: dict, parse=False) -> float:
+    """Median over SETUP_REPEATS fresh interpreters, after one untimed run
+    that fills the bytecode cache."""
+    return statistics.median(child_times(args, env, SETUP_REPEATS + 1, parse)[1:])
 
 
 def make_workload(name: str, qp, seed: int, env: dict):
@@ -112,7 +117,6 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
 
-    setup_s = child_median(["-c", SETUP_CODE], env)
     work = make_workload(args.workload, qp, args.seed, env)
     record: dict = {"workload": args.workload, "seed": args.seed, "trace": args.trace}
     rounds: list = []
@@ -150,19 +154,26 @@ def main(argv=None) -> int:
         record["missing_names"] = tracer.missing
         record["backends"] = dict(tracer.backends)
     else:
+        # Set-up is timed SETUP_REPEATS times before the rounds and as many
+        # times after them, so a slow spell of the host weighs on fewer of
+        # the samples.  The first, untimed, run fills the bytecode cache.
+        setup_args = ["-c", SETUP_CODE]
+        setup = child_times(setup_args, env, SETUP_REPEATS + 1)[1:]
         wl.warm_up(qp, cli)
         loop_start = time.perf_counter()
         while not rounds or time.perf_counter() - loop_start < args.seconds:
             rounds.append(work.run_round(len(rounds)))
         loop_s = time.perf_counter() - loop_start
+        setup += child_times(setup_args, env, SETUP_REPEATS)
         if isinstance(work, wl.CliOneshot):
             peak_kib = work.peak_kib
         else:
             peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         metrics = work.metrics(rounds)
-        metrics["setup_s"] = (setup_s, "s")
+        metrics["setup_s"] = (statistics.median(setup), "s")
         metrics["peak_rss_mib"] = (peak_kib / 1024, "MiB")
         record["rounds"] = rounds
+        record["setup_samples"] = setup
         record["loop_s"] = loop_s
     work.final_checks()
 

@@ -27,10 +27,6 @@ import reference as ref
 ALL_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
 
-def percentile(values: list[float], q: int) -> float:
-    return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
-
-
 def elem_text(a: int, b: int) -> str:
     if b == 0:
         return str(a)
@@ -79,13 +75,16 @@ def warm_up(qp, cli) -> None:
 
 
 class Workload:
-    """Counts operations and collects check failures."""
+    """Counts operations, times the answered ones and collects check
+    failures.  run_round returns a dict with at least round_s, the seconds
+    spent in the round's operations, failed ones included."""
 
     def __init__(self, qp, seed: int) -> None:
         self.qp = qp
         self.seed = seed
         self.attempted = 0
         self.failed = 0
+        self.samples: list[float] = []
         self.errors: list[str] = []
         self.failures: dict[str, int] = {}
 
@@ -100,6 +99,14 @@ class Workload:
 
     def final_checks(self) -> None:
         """Checks made once per run, after the timed rounds."""
+
+    def metrics(self, rounds: list[dict]) -> dict:
+        """The end-to-end metrics every workload reports: the median time
+        of one round and the median time of one answered operation."""
+        return {
+            "round_s": (statistics.median(r["round_s"] for r in rounds), "s"),
+            "op_ms_p50": (statistics.median(self.samples) * 1000, "ms"),
+        }
 
     def details(self) -> dict:
         return {"failures": self.failures}
@@ -167,6 +174,7 @@ class NormScan(Workload):
                 self.fail(f"{kind} d={d} t={t} bound={bound}", exc)
                 continue
             elapsed = time.perf_counter() - start
+            self.samples.append(elapsed)
             reports[kind, d, t] = rep
             if kind == "conjecture":
                 conjecture_s += elapsed
@@ -179,7 +187,12 @@ class NormScan(Workload):
                 self.check_conjecture(d, rep, reports.get(("search", d, 2)))
             else:
                 self.check_search(d, t, rep.norm_bound, kind == "odd", rep)
-        return {"search_s": search_s, "conjecture_s": conjecture_s, "elements": elements}
+        return {
+            "round_s": search_s + conjecture_s,
+            "search_s": search_s,
+            "conjecture_s": conjecture_s,
+            "elements": elements,
+        }
 
     def check_search(self, d: int, t: int, bound: int, odd: bool, rep) -> None:
         what = f"{'odd ' if odd else ''}search d={d} t={t} bound={bound}"
@@ -236,16 +249,11 @@ class NormScan(Workload):
             self.check_search(d, t, bound, odd, rep)
 
     def metrics(self, rounds: list[dict]) -> dict:
-        search_s = statistics.median(r["search_s"] for r in rounds)
         elements = rounds[0]["elements"]
         self.check(
             all(r["elements"] == elements for r in rounds), "elements scanned differ between rounds"
         )
-        return {
-            "search_s": (search_s, "s"),
-            "elements_per_s": (elements / search_s, "1/s"),
-            "conjecture_s": (statistics.median(r["conjecture_s"] for r in rounds), "s"),
-        }
+        return super().metrics(rounds)
 
     def details(self) -> dict:
         return {
@@ -289,8 +297,6 @@ class LargeFactor(Workload):
         self.used: set[tuple[int, int]] = set()
         self.rounds: dict[int, list] = {}
         self.probe = probe_element()
-        self.samples: list[float] = []
-        self.query_s = 0.0
 
     def draw_large(self, rng, d: int, lo: int, hi: int) -> tuple[int, int]:
         """A split prime of norm in [lo, hi) not used before in this run."""
@@ -353,8 +359,7 @@ class LargeFactor(Workload):
         d, z, parts = self.probe
         total += self.query_element(d, z, parts, samples, only_factor=True)
         self.samples.extend(samples)
-        self.query_s += total
-        return {"queries": len(samples), "query_s": total}
+        return {"queries": len(samples), "round_s": total}
 
     def query_element(self, d, z_uv, parts, samples, only_factor=False):
         """Time each query on one element and check the answers; returns
@@ -418,14 +423,6 @@ class LargeFactor(Workload):
             )
         return spent
 
-    def metrics(self, rounds: list[dict]) -> dict:
-        ms = [s * 1000 for s in self.samples]
-        return {
-            "query_ms_p50": (percentile(ms, 50), "ms"),
-            "query_ms_p95": (percentile(ms, 95), "ms"),
-            "queries_per_s": (len(self.samples) / self.query_s, "1/s"),
-        }
-
     def details(self) -> dict:
         return {"samples": len(self.samples), "failures": self.failures}
 
@@ -452,7 +449,6 @@ class CliOneshot(Workload):
             for d in (-1, -2, -7)
         }
         self.cycles: dict[int, list] = {}
-        self.samples: list[float] = []
         self.peak_kib = 0
 
     def random_elem(self, rng) -> tuple[int, int, int]:
@@ -499,16 +495,18 @@ class CliOneshot(Workload):
         return run_child(["-m", "quadperfect.cli", *argv], self.root, self.env)
 
     def run_round(self, index: int) -> dict:
+        spent = 0.0
         for argv, spec in self.cycle(index):
             self.attempted += 1
             elapsed, code, out, err, rss = self.spawn(argv)
+            spent += elapsed
             self.peak_kib = max(self.peak_kib, rss)
             if code != 0:
                 self.fail(" ".join(argv), RuntimeError(f"exit {code}: {err.strip()[-200:]}"))
                 continue
             self.samples.append(elapsed)
             self.check_output(spec, out, " ".join(argv))
-        return {}
+        return {"round_s": spent}
 
     def run_inprocess(self, index: int, cli) -> float:
         """The same commands through cli.main in this process; returns the
@@ -615,13 +613,6 @@ class CliOneshot(Workload):
         if d == -7:
             verdict = verdict and gamma % 3 == 1 and q % 7 == 3
         return f"overall: {'PASS' if verdict else 'FAIL'}" in out
-
-    def metrics(self, rounds: list[dict]) -> dict:
-        ms = [s * 1000 for s in self.samples]
-        return {
-            "cli_ms_p50": (percentile(ms, 50), "ms"),
-            "cli_ms_p90": (percentile(ms, 90), "ms"),
-        }
 
     def details(self) -> dict:
         return {"samples": len(self.samples), "failures": self.failures}
