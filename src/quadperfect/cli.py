@@ -19,7 +19,7 @@ from .divisor_functions import abundancy_index, delta, divisors
 from .errors import PreconditionFailed
 from .primes import classify_rational_prime, factor, is_prime
 from .rings import ADMISSIBLE_D, QuadInt, Ring, parse_element
-from .search import DEFAULT_BACKEND, search_odd_norm, search_perfect
+from .search import search_odd_norm, search_perfect
 from .theorems import (
     NORM2_RINGS,
     check_mersenne_inert,
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"qp {__version__} (scan backend: {DEFAULT_BACKEND})",
+        version=f"qp {__version__}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -336,9 +336,24 @@ _COMMANDS = {
 }
 
 
+def _attach_elem(argv: list[str]) -> list[str]:
+    """Fold "--elem VALUE" into "--elem=VALUE", so that an element with a
+    leading minus sign, such as -2+1*w, is not read as an option."""
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--elem" and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
+            tok = f"--elem={argv[i + 1]}"
+            i += 1
+        out.append(tok)
+        i += 1
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_elem(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError) as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Iterator
 
 from .errors import MixedRings, ZeroElement
 
@@ -314,7 +313,3 @@ class QuadInt:
 
     def __hash__(self) -> int:
         return hash((self.ring.d, self.a, self.b))
-
-
-def iter_units(rg: Ring) -> Iterator[QuadInt]:
-    return iter(rg.units())

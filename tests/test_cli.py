@@ -211,6 +211,15 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_negative_element_both_spellings(self, capsys):
+        # A printed search hit such as -2+1*w starts with a minus sign.
+        argv = ("verify", "--theorem", "2.2", "--d", "-2")
+        spaced = run(capsys, *argv, "--elem", "-2+1*w")
+        joined = run(capsys, *argv, "--elem=-2+1*w")
+        assert spaced[0] == 0
+        assert spaced == joined
+        assert "check 2.2 on -2+1*w" in spaced[1]
+
     def test_unknown_theorem_id(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--d", "-1", "--elem", "3", "--theorem", "9.9"])

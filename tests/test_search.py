@@ -1,24 +1,21 @@
-"""Sector enumeration, the two scan backends, frozen search fixtures and
-the report contract."""
+"""Sector enumeration, the norm-first search against the raw-lattice
+oracle, frozen search fixtures and the report contract."""
 
 from __future__ import annotations
 
 import pytest
 
 from quadperfect import (
-    HAVE_KERNEL,
+    QuadInt,
     Ring,
-    TooLarge,
+    delta_naive,
     enumerate_canonical,
     is_powerfully_perfect,
     search_odd_norm,
     search_perfect,
 )
-from quadperfect.search import KERNEL_MAX_BOUND
 
 from conftest import NORM2_D, norm_ball_brute
-
-kernel = pytest.mark.skipif(not HAVE_KERNEL, reason="compiled kernel not built")
 
 
 def normalized_json(report) -> dict:
@@ -110,7 +107,7 @@ class TestSearchPerfect:
         assert rep.ring is rg and rep.n == 2 and rep.t == 2
         assert rep.norm_bound == 500 and not rep.odd_norm
         assert rep.wall_time_ms >= 0
-        assert rep.backend in ("compiled", "python")
+        assert rep.backend == "norm"
         obj = rep.to_json()
         assert set(obj) == {
             "ring",
@@ -122,6 +119,7 @@ class TestSearchPerfect:
             "wall_time_ms",
             "odd_norm",
             "hit_checks",
+            "backend",
         }
 
     def test_determinism(self):
@@ -134,36 +132,34 @@ class TestSearchPerfect:
         for n, t, bound in [(3, 2, 10), (0, 2, 10), (-2, 2, 10), (2, 1, 10), (2, 2, 0)]:
             with pytest.raises(ValueError):
                 search_perfect(rg, n, t, bound)
-        with pytest.raises(ValueError):
-            search_perfect(rg, 2, 2, 10, backend="fortran")
 
-    def test_higher_exponent_uses_python_path(self):
-        # n=4 never routes to the kernel; delta(4, z) = t*N^2 has no small hit.
+    def test_higher_exponent_no_small_hit(self):
+        # delta(4, z) = t*N^2 has no small hit.
         rep = search_perfect(Ring(-1), 4, 2, 400)
-        assert rep.backend == "python"
         assert rep.hits == []
 
 
-@kernel
-class TestBackendAgreement:
-    def test_all_rings_small(self, rg):
-        fast = search_perfect(rg, 2, 2, 3000, backend="compiled")
-        slow = search_perfect(rg, 2, 2, 3000, backend="python")
-        assert fast.hits == slow.hits
-        assert fast.elements_scanned == slow.elements_scanned
-        assert normalized_json(fast) == normalized_json(slow)
+class TestLatticeOracle:
+    """The norm-first search against the raw coordinate box reduced to
+    canonical associates and filtered by the naive divisor sum."""
 
-    def test_odd_norm_agreement(self):
-        for d in NORM2_D:
-            fast = search_odd_norm(Ring(d), 4000, backend="compiled")
-            slow = search_odd_norm(Ring(d), 4000, backend="python")
-            assert normalized_json(fast) == normalized_json(slow)
+    BOUND = 300
 
-    def test_kernel_bound_cap(self):
-        with pytest.raises(TooLarge):
-            search_perfect(Ring(-1), 2, 2, KERNEL_MAX_BOUND + 1, backend="compiled")
-        with pytest.raises(TooLarge):
-            search_perfect(Ring(-1), 4, 2, 100, backend="compiled")
+    def brute(self, rg, n, t, odd_only):
+        ball = sorted(norm_ball_brute(rg, self.BOUND), key=QuadInt.sort_key)
+        if odd_only:
+            ball = [z for z in ball if z.norm() % 2]
+        hits = [z for z in ball if delta_naive(n, z) == t * z.norm() ** (n // 2)]
+        return hits, len(ball)
+
+    @pytest.mark.parametrize("n,t", [(2, 2), (2, 3), (4, 2), (4, 3)])
+    def test_search_perfect(self, rg, n, t):
+        rep = search_perfect(rg, n, t, self.BOUND)
+        assert (rep.hits, rep.elements_scanned) == self.brute(rg, n, t, False)
+
+    def test_search_odd_norm(self, rg):
+        rep = search_odd_norm(rg, self.BOUND)
+        assert (rep.hits, rep.elements_scanned) == self.brute(rg, 2, 2, True)
 
 
 class TestOddNormScan:
