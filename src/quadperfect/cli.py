@@ -21,7 +21,9 @@ from .primes import classify_rational_prime, factor, is_prime
 from .rings import ADMISSIBLE_D, QuadInt, Ring, parse_element
 from .search import search_odd_norm, search_perfect
 from .theorems import (
-    NORM2_RINGS,
+    EVEN_CHECK_RINGS,
+    Check,
+    VerifierReport,
     check_mersenne_inert,
     check_odd_structure,
     check_prime_count,
@@ -36,34 +38,25 @@ BOUND_GUARD = 10**8
 THEOREM_IDS = ("2.1", "2.2", "2.3", "2.4", "2.5", "count", "lift")
 
 
-def _d_arg(text: str) -> int:
-    try:
-        d = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--d must be an integer, got {text!r}")
-    if d not in ADMISSIBLE_D:
-        raise argparse.ArgumentTypeError(f"--d must be one of {ADMISSIBLE_D}")
-    return d
+def _int_arg(flag: str, ok, rule: str):
+    """argparse type for an integer option that refuses any v failing
+    ok(v) with "<flag> must be <rule>", where {} in rule stands for v."""
+
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{flag} must be an integer, got {text!r}")
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"{flag} must be {rule.format(v)}")
+        return v
+
+    return parse
 
 
-def _even_arg(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--n must be an integer, got {text!r}")
-    if n == 0 or n % 2:
-        raise argparse.ArgumentTypeError(f"--n must be a nonzero even integer, got {n}")
-    return n
-
-
-def _t_arg(text: str) -> int:
-    try:
-        t = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--t must be an integer, got {text!r}")
-    if t < 2:
-        raise argparse.ArgumentTypeError(f"--t must be >= 2, got {t}")
-    return t
+_d_arg = _int_arg("--d", ADMISSIBLE_D.__contains__, f"one of {ADMISSIBLE_D}")
+_n_arg = _int_arg("--n", lambda n: n and n % 2 == 0, "a nonzero even integer, got {}")
+_t_arg = _int_arg("--t", lambda t: t >= 2, ">= 2, got {}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         if elem:
             p.add_argument("--elem", required=True, help="element, e.g. 3+9*w")
         if n:
-            p.add_argument("--n", type=_even_arg, default=2, help="even exponent")
+            p.add_argument("--n", type=_n_arg, default=2, help="even exponent")
         if t:
             p.add_argument("--t", type=_t_arg, default=2, help="target index")
         if bound:
@@ -269,9 +262,8 @@ def _cmd_verify(args) -> int:
     z = _parse_elem(args)
     rg = z.ring
     tid = args.theorem
-    pre_even = {"2.1": (-1, -2), "2.2": (-1, -2), "2.3": (-7,), "2.4": (-7,)}
-    if tid in pre_even and rg.d not in pre_even[tid]:
-        raise PreconditionFailed(f"check {tid} applies to d in {pre_even[tid]}")
+    if tid in EVEN_CHECK_RINGS and rg.d not in EVEN_CHECK_RINGS[tid]:
+        raise PreconditionFailed(f"check {tid} applies to d in {EVEN_CHECK_RINGS[tid]}")
     body: dict = {}
     lines: list[str] = []
     if tid in ("2.1", "2.2", "2.3", "2.4"):
@@ -291,8 +283,6 @@ def _cmd_verify(args) -> int:
         rep = check_prime_count(z)
     else:
         w = lift_to_3perfect(z)
-        from .theorems import Check, VerifierReport
-
         rep = VerifierReport(
             "lift",
             z,

@@ -4,7 +4,8 @@ delta(n, z) sums |x|^n over one divisor x from each associate class of z;
 for even n that is sum of N(x)^(n/2), an integer when n > 0 and an exact
 rational when n < 0.  The abundancy index is index(n, z) = delta(n, z) /
 N(z)^(n/2), and z is n-powerfully t-perfect when the index equals t.  The
-closed form multiplies geometric sums over the prime factorization;
+closed form multiplies geometric sums over the prime factorization, and
+delta(-n, z) = index(n, z) because x -> z/x permutes the divisor classes;
 delta_naive re-sums over an explicit divisor list and exists to keep the
 closed form honest.
 """
@@ -12,6 +13,7 @@ closed form honest.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import OddExponent, TooLarge, ZeroElement
@@ -20,6 +22,11 @@ from .rings import QuadInt
 
 NAIVE_NORM_CAP = 10**6
 DIVISOR_COUNT_CAP = 1 << 20
+
+
+def geo(q: int, k: int) -> int:
+    """1 + q + ... + q^k (0 when k = -1), for q >= 2."""
+    return (q ** (k + 1) - 1) // (q - 1)
 
 
 def _check_even(n: int) -> int:
@@ -55,18 +62,8 @@ def delta(n: int, z: QuadInt) -> int | Fraction:
     h = _check_even(n)
     if z.is_zero():
         raise ZeroElement("delta is undefined at zero")
-    fac = factor(z)
-    if h > 0:
-        out = 1
-        for pi, e in fac.factors:
-            q = pi.norm() ** h
-            out *= (q ** (e + 1) - 1) // (q - 1)
-        return out
-    out = Fraction(1)
-    for pi, e in fac.factors:
-        q = Fraction(1, pi.norm() ** -h)
-        out *= sum(q**j for j in range(e + 1))
-    return out
+    total = math.prod([geo(pi.norm() ** abs(h), e) for pi, e in factor(z).factors])
+    return total if h > 0 else Fraction(total, z.norm() ** -h)
 
 
 def delta_naive(n: int, z: QuadInt) -> int | Fraction:
@@ -105,14 +102,5 @@ def sigma(k: int, n: int) -> int | Fraction:
         raise ValueError("exponent must be nonzero")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if k > 0:
-        out = 1
-        for p, e in factor_rational(n):
-            q = p**k
-            out *= (q ** (e + 1) - 1) // (q - 1)
-        return out
-    out = Fraction(1)
-    for p, e in factor_rational(n):
-        q = Fraction(1, p**-k)
-        out *= sum(q**j for j in range(e + 1))
-    return out
+    total = math.prod([geo(p ** abs(k), e) for p, e in factor_rational(n)])
+    return total if k > 0 else Fraction(total, n**-k)

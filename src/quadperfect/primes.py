@@ -5,8 +5,9 @@ below 3.317e24), trial division up to 10^6 and Brent's rho for anything the
 trial bound misses.  On the quadratic side a rational prime is ramified,
 split or inert according to whether d is zero, a nonzero square or a
 non-square mod p; primes above p come from a bounded search over the norm
-equation, and element factorizations recover split exponents by repeated
-exact division rather than norm bookkeeping.
+equation.  An element factorization finds the exponent of one prime of each
+split pair by repeated exact division and gives its conjugate the rest of
+the norm's exponent.
 """
 
 from __future__ import annotations
@@ -21,18 +22,17 @@ from .rings import QuadInt, Ring
 
 _TRIAL_BOUND = 10**6
 
-# Deterministic witness set for n < 3_317_044_064_679_887_385_961_981.
+# Deterministic witness set for n < 3_317_044_064_679_887_385_961_981; the
+# same primes serve as the trial divisors that come first.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 3.3e24."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n >= _MR_LIMIT:
@@ -158,7 +158,6 @@ class PrimeClass(enum.Enum):
     INERT = "inert"
 
 
-@functools.lru_cache(maxsize=None)
 def _classify(p: int, d: int) -> PrimeClass:
     if p == 2:
         # 2 = -sqrt(-2)^2 for d=-2 and -i(1+i)^2 for d=-1; it splits only in
@@ -183,28 +182,19 @@ def classify_rational_prime(p: int, rg: Ring) -> PrimeClass:
 
 def _norm_equation_solutions(p: int, rg: Ring) -> list[QuadInt]:
     """All x with N(x) = p, via a bounded coordinate search."""
-    d = rg.d
+    # 4 N(a + b*w) = (2a + T*b)^2 - D*b^2 with D = T + 4c < 0, so search
+    # u = 2a + T*b, v = b with u^2 - D v^2 = 4p and u = T*v mod 2.
+    T, D, p4 = rg.T, rg.T + 4 * rg.c, 4 * p
     out = []
-    if rg.half_integer:
-        # In (u, v) with u = 2a + b, v = b: u^2 + |d| v^2 = 4p, u = v mod 2.
-        vmax = math.isqrt(4 * p // -d)
-        for v in range(-vmax, vmax + 1):
-            rem = 4 * p + d * v * v
-            u = math.isqrt(rem)
-            if u * u != rem:
-                continue
-            for uu in {u, -u}:
-                if (uu - v) % 2 == 0:
-                    out.append(rg.element((uu - v) // 2, v))
-    else:
-        bmax = math.isqrt(p // -d)
-        for b in range(-bmax, bmax + 1):
-            rem = p + d * b * b
-            a = math.isqrt(rem)
-            if a * a != rem:
-                continue
-            for aa in {a, -a}:
-                out.append(rg.element(aa, b))
+    vmax = math.isqrt(p4 // -D)
+    for v in range(-vmax, vmax + 1):
+        rem = p4 + D * v * v
+        u = math.isqrt(rem)
+        if u * u != rem:
+            continue
+        for uu in {u, -u}:
+            if (uu - T * v) % 2 == 0:
+                out.append(rg.element((uu - T * v) // 2, v))
     return out
 
 
@@ -323,14 +313,11 @@ def factor(z: QuadInt) -> QuadFactorization:
         elif cls is PrimeClass.RAMIFIED:
             factors.append((_primes_above(p, rg.d)[0], e))
         else:
+            # The conjugate prime takes what pi leaves of p^e; were r wrong,
+            # the unit check below would fail.
             pi, pibar = _primes_above(p, rg.d)
-            r1 = _valuation_unchecked(pi, z)
-            r2 = _valuation_unchecked(pibar, z)
-            assert r1 + r2 == e, (z, p, r1, r2, e)
-            if r1:
-                factors.append((pi, r1))
-            if r2:
-                factors.append((pibar, r2))
+            r = _valuation_unchecked(pi, z)
+            factors += [(x, k) for x, k in ((pi, r), (pibar, e - r)) if k]
     factors.sort(key=lambda fe: fe[0].sort_key())
     rest = rg.one()
     for pi, e in factors:

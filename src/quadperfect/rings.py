@@ -1,11 +1,13 @@
 """Exact arithmetic in the nine imaginary quadratic rings with unique
 factorization.
 
-For d in {-1, -2} (d = 2, 3 mod 4) the ring is Z[sqrt(d)] and elements are
-stored as a + b*sqrt(d).  For the seven d = 1 mod 4 the ring is
-Z[(1 + sqrt(d))/2] and elements are stored as a + b*w with w = (1 + sqrt(d))/2,
-so every coordinate pair is a pair of plain integers in both cases.  All
-arithmetic is exact; nothing here touches floating point.
+For d in {-1, -2} (d = 2, 3 mod 4) the ring is Z[sqrt(d)] with w = sqrt(d).
+For the seven d = 1 mod 4 the ring is Z[(1 + sqrt(d))/2] with
+w = (1 + sqrt(d))/2.  Elements are stored as a + b*w, so every coordinate pair
+is a pair of plain integers in both cases.  Both bases obey one law,
+w^2 = T*w + c (T = 0, c = d for the first; T = 1, c = (d - 1)/4 for the
+second), and product, conjugate and norm are each written once in terms of
+T and c.  All arithmetic is exact; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ class BasisKind(enum.Enum):
 class Ring:
     """One of the nine rings, identified by its squarefree d."""
 
-    __slots__ = ("d", "basis_kind", "_units")
+    # T and c give the law w^2 = T*w + c of the basis element w.
+    __slots__ = ("d", "basis_kind", "T", "c", "_units")
 
     _cache: dict[int, "Ring"] = {}
 
@@ -38,7 +41,8 @@ class Ring:
             raise ValueError(f"d must be one of {ADMISSIBLE_D}, got {d!r}")
         self = object.__new__(cls)
         self.d = d
-        self.basis_kind = BasisKind.HALF_INTEGER if d % 4 == 1 else BasisKind.PLAIN
+        self.T, self.c = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
+        self.basis_kind = BasisKind.HALF_INTEGER if self.T else BasisKind.PLAIN
         self._units = None
         cls._cache[d] = self
         return self
@@ -54,11 +58,7 @@ class Ring:
 
     @property
     def unit_count(self) -> int:
-        if self.d == -1:
-            return 4
-        if self.d == -3:
-            return 6
-        return 2
+        return len(self.units())
 
     def units(self) -> tuple["QuadInt", ...]:
         if self._units is None:
@@ -185,15 +185,10 @@ class QuadInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        rg = self.ring
         a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        if self.ring.half_integer:
-            c = self.ring.omega_square
-            return QuadInt(
-                self.ring, a1 * a2 + c * b1 * b2, a1 * b2 + a2 * b1 + b1 * b2
-            )
-        return QuadInt(
-            self.ring, a1 * a2 + self.ring.d * b1 * b2, a1 * b2 + a2 * b1
-        )
+        bb = b1 * b2
+        return QuadInt(rg, a1 * a2 + rg.c * bb, a1 * b2 + a2 * b1 + rg.T * bb)
 
     __rmul__ = __mul__
 
@@ -210,15 +205,12 @@ class QuadInt:
         return result
 
     def conjugate(self) -> "QuadInt":
-        if self.ring.half_integer:
-            return QuadInt(self.ring, self.a + self.b, -self.b)
-        return QuadInt(self.ring, self.a, -self.b)
+        # The conjugate of w is T - w.
+        return QuadInt(self.ring, self.a + self.ring.T * self.b, -self.b)
 
     def norm(self) -> int:
-        a, b, d = self.a, self.b, self.ring.d
-        if self.ring.half_integer:
-            return a * a + a * b + b * b * ((1 - d) // 4)
-        return a * a - d * b * b
+        a, b, rg = self.a, self.b, self.ring
+        return a * a + rg.T * a * b - rg.c * b * b
 
     def exact_divide(self, other) -> "QuadInt | None":
         """self / other when other divides self exactly, else None."""

@@ -20,7 +20,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 
-from .divisor_functions import NAIVE_NORM_CAP, delta, delta_naive
+from .divisor_functions import NAIVE_NORM_CAP, delta, delta_naive, geo
 from .primes import PrimeClass, _classify, _primes_above
 from .rings import QuadInt, Ring
 
@@ -96,8 +96,8 @@ def _norms(d: int, bound: int, odd_only: bool):
     (p, k, q) for the others: the prime above p occurs to the power k and
     has norm q (q = p when ramified, q = p^2 and k = e/2 when inert)."""
     spf = _spf_sieve(bound)
-    # A table local to the scan, not _classify's cache, which would keep
-    # every prime up to the bound for the life of the process.
+    # One byte per prime and scan, so each prime up to the bound is
+    # classified once.
     kinds = bytearray(bound + 1)
     for N in range(1, bound + 1, 2 if odd_only else 1):
         split = []
@@ -112,7 +112,7 @@ def _norms(d: int, bound: int, odd_only: bool):
                 e += 1
             kind = kinds[p]
             if not kind:
-                kind = kinds[p] = _CODE[_classify.__wrapped__(p, d)]
+                kind = kinds[p] = _CODE[_classify(p, d)]
             if kind == _SPLIT:
                 split.append((p, e))
             elif kind == _INERT:
@@ -145,11 +145,6 @@ def _elements(rg: Ring, split, fixed, choices) -> list[QuadInt]:
     return out
 
 
-def _geo(q: int, k: int) -> int:
-    """1 + q + ... + q^k."""
-    return (q ** (k + 1) - 1) // (q - 1)
-
-
 def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool):
     """Hits (unsorted) and the count of elements examined."""
     h = n // 2
@@ -157,7 +152,7 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool):
     scanned = 0
     for N, split, fixed in _norms(rg.d, bound, odd_only):
         scanned += math.prod([e + 1 for _, e in split])
-        fixed_delta = math.prod([_geo(q**h, k) for _, k, q in fixed])
+        fixed_delta = math.prod([geo(q**h, k) for _, k, q in fixed])
         need, rem = divmod(t * N**h, fixed_delta)
         if rem:
             continue
@@ -170,7 +165,7 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool):
                 (rs + (r,), rest // v)
                 for rs, rest in partial
                 for r in range(e + 1)
-                if rest % (v := _geo(q, r) * _geo(q, e - r)) == 0
+                if rest % (v := geo(q, r) * geo(q, e - r)) == 0
             ]
         choices = [rs for rs, rest in partial if rest == 1]
         if choices:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .divisor_functions import abundancy_index, delta, is_powerfully_perfect
+from .divisor_functions import abundancy_index, delta, geo, is_powerfully_perfect
 from .errors import (
     NotPrime,
     PreconditionFailed,
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .primes import (
     PrimeClass,
+    _primes_above,
     classify_rational_prime,
     factor,
     is_prime,
@@ -38,6 +39,10 @@ from .rings import QuadInt, Ring
 # Rings with an element of norm 2, the only place the even-norm machinery
 # applies.
 NORM2_RINGS = (-1, -2, -7)
+
+# The rings each even-norm check id applies to: 2.1 and 2.2 state the d = -1,
+# -2 results, 2.3 and 2.4 the d = -7 ones with their extra congruences.
+EVEN_CHECK_RINGS = {"2.1": (-1, -2), "2.2": (-1, -2), "2.3": (-7,), "2.4": (-7,)}
 
 # Minimum count of pairwise non-associated prime divisors for an odd-norm
 # 2-powerfully 2-perfect element.
@@ -105,10 +110,25 @@ class EvenNormDecomposition:
         }
 
 
-def norm2_prime(rg: Ring) -> QuadInt:
-    """The canonical norm-2 prime of d = -1, -2 or -7."""
+def _require_norm2(rg: Ring) -> None:
     if rg.d not in NORM2_RINGS:
         raise PreconditionFailed(f"no element of norm 2 exists for d={rg.d}")
+
+
+def _require_perfect(z: QuadInt, parity: int) -> None:
+    """z must be 2-powerfully 2-perfect with N(z) = parity mod 2."""
+    if z.is_zero():
+        raise ZeroElement("the zero element has no abundancy index")
+    if z.norm() % 2 != parity:
+        kind = "even" if parity else "odd"
+        raise PreconditionFailed(f"N({z}) = {z.norm()} is {kind}")
+    if not is_powerfully_perfect(2, 2, z):
+        raise PreconditionFailed(f"index(2, {z}) = {abundancy_index(2, z)} != 2")
+
+
+def norm2_prime(rg: Ring) -> QuadInt:
+    """The canonical norm-2 prime of d = -1, -2 or -7."""
+    _require_norm2(rg)
     return prime_above(2, rg)
 
 
@@ -116,31 +136,16 @@ def decompose_even(z: QuadInt) -> EvenNormDecomposition:
     """Split an even-norm 2-powerfully 2-perfect z off its norm-2 prime
     power and derive (q, m, k, v)."""
     rg = z.ring
-    if rg.d not in NORM2_RINGS:
-        raise PreconditionFailed(f"no element of norm 2 exists for d={rg.d}")
-    if z.is_zero():
-        raise ZeroElement("cannot decompose the zero element")
-    if z.norm() % 2:
-        raise PreconditionFailed(f"N({z}) = {z.norm()} is odd")
-    if not is_powerfully_perfect(2, 2, z):
-        raise PreconditionFailed(
-            f"index(2, {z}) = {abundancy_index(2, z)} != 2"
+    _require_norm2(rg)
+    _require_perfect(z, 0)
+    # One norm-2 prime for d = -1, -2; two conjugate ones for d = -7.
+    found = [(xi, g) for xi in _primes_above(2, rg.d) if (g := valuation(xi, z))]
+    if len(found) > 1:
+        gammas = " and ".join(str(g) for _, g in found)
+        raise SplitDichotomyViolation(
+            f"both norm-2 primes divide {z}: exponents {gammas}"
         )
-    xi = prime_above(2, rg)
-    if rg.d == -7:
-        other = xi.conjugate().canonical_associate()
-        g1 = valuation(xi, z)
-        g2 = valuation(other, z)
-        if g1 and g2:
-            raise SplitDichotomyViolation(
-                f"both norm-2 primes divide {z}: exponents {g1} and {g2}"
-            )
-        if g2:
-            xi, gamma = other, g2
-        else:
-            gamma = g1
-    else:
-        gamma = valuation(xi, z)
+    [(xi, gamma)] = found
     x = z.exact_divide(xi**gamma)
     assert x is not None and x.norm() % 2 == 1
     d2x = delta(2, x)
@@ -165,8 +170,7 @@ def _congruence_checks(gamma: int, q: int) -> list[Check]:
 def check_mersenne_inert(gamma: int, rg: Ring) -> VerifierReport:
     """q = 2^(gamma+1) - 1 must be a Mersenne prime, inert in the ring;
     check ids 2.1 (d = -1, -2) and 2.3 (d = -7)."""
-    if rg.d not in NORM2_RINGS:
-        raise PreconditionFailed(f"no element of norm 2 exists for d={rg.d}")
+    _require_norm2(rg)
     if gamma < 1:
         raise PreconditionFailed(f"gamma must be >= 1, got {gamma}")
     q = (1 << (gamma + 1)) - 1
@@ -192,7 +196,7 @@ def check_structure_bounds(dec: EvenNormDecomposition) -> VerifierReport:
         Check("k_odd", "odd", str(k), k % 2 == 1),
         Check("v_floor", f">= {q + 2}", str(v), v >= q + 2),
     ]
-    lower = q ** (k + 1) + (q + 3) * sum(q ** (2 * j) for j in range((k - 1) // 2 + 1))
+    lower = q ** (k + 1) + (q + 3) * geo(q * q, (k - 1) // 2)
     checks.append(Check("m_floor", f">= {lower}", str(m), m >= lower))
     simple = q * q + q + 3
     checks.append(Check("m_floor_simple", f">= {simple}", str(m), m >= simple))
@@ -236,12 +240,7 @@ def odd_factorization_shape_report(
 def check_odd_structure(z: QuadInt) -> VerifierReport:
     """Factorization shape of an odd-norm 2-powerfully 2-perfect element;
     check id 2.5."""
-    if z.is_zero():
-        raise ZeroElement("cannot check the zero element")
-    if z.norm() % 2 == 0:
-        raise PreconditionFailed(f"N({z}) = {z.norm()} is even")
-    if not is_powerfully_perfect(2, 2, z):
-        raise PreconditionFailed(f"index(2, {z}) = {abundancy_index(2, z)} != 2")
+    _require_perfect(z, 1)
     pairs = [(pi.norm(), e) for pi, e in factor(z).factors]
     return odd_factorization_shape_report(pairs, subject=z)
 
@@ -292,16 +291,9 @@ def smallest_odd_prime_norms(rg: Ring, count: int) -> list[int]:
 def lift_to_3perfect(z: QuadInt) -> QuadInt:
     """Multiply an odd-norm 2-powerfully 2-perfect z by the norm-2 prime;
     the result is 2-powerfully 3-perfect.  Check id lift."""
-    rg = z.ring
-    if rg.d not in NORM2_RINGS:
-        raise PreconditionFailed(f"no element of norm 2 exists for d={rg.d}")
-    if z.is_zero():
-        raise ZeroElement("cannot lift the zero element")
-    if z.norm() % 2 == 0:
-        raise PreconditionFailed(f"N({z}) = {z.norm()} is even")
-    if not is_powerfully_perfect(2, 2, z):
-        raise PreconditionFailed(f"index(2, {z}) = {abundancy_index(2, z)} != 2")
-    w = prime_above(2, rg) * z
+    _require_norm2(z.ring)
+    _require_perfect(z, 1)
+    w = prime_above(2, z.ring) * z
     assert abundancy_index(2, w) == 3
     return w
 
@@ -311,8 +303,7 @@ def conjecture_scan(rg: Ring, bound: int) -> VerifierReport:
     element with norm <= bound has k = 1; vacuous pass when none exist."""
     from .search import search_perfect
 
-    if rg.d not in NORM2_RINGS:
-        raise PreconditionFailed(f"no element of norm 2 exists for d={rg.d}")
+    _require_norm2(rg)
     report = search_perfect(rg, 2, 2, bound)
     checks = []
     for z in report.hits:

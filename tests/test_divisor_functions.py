@@ -64,6 +64,7 @@ class TestDelta:
             assert delta(2, z) == delta_naive(2, z), z
             assert delta(4, z) == delta_naive(4, z), z
             assert delta(-2, z) == delta_naive(-2, z), z
+            assert delta(-4, z) == delta_naive(-4, z), z
 
     def test_types(self):
         z = Ring(-2).element(1, 1)
@@ -162,6 +163,8 @@ class TestSigma:
             assert sigma(1, n) == sum(divs)
             assert sigma(2, n) == sum(c * c for c in divs)
             assert sigma(-1, n) == sum(Fraction(1, c) for c in divs)
+            for k in (2, 3):
+                assert sigma(-k, n) == sum(Fraction(1, c**k) for c in divs)
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ unique factorization of ring elements."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
@@ -33,6 +34,20 @@ def sieve(limit: int) -> list[bool]:
         if flags[p]:
             flags[p * p :: p] = [False] * len(flags[p * p :: p])
     return flags
+
+
+PRIMES_BELOW_2000 = [p for p, prime in enumerate(sieve(1999)) if prime]
+
+
+@functools.cache
+def brute_of_prime_norm(d: int) -> dict[int, set]:
+    """Canonical elements of each prime norm p < 2000, from the raw
+    lattice box."""
+    out: dict[int, set] = {p: set() for p in PRIMES_BELOW_2000}
+    for z in norm_ball_brute(Ring(d), 1999):
+        if z.norm() in out:
+            out[z.norm()].add(z)
+    return out
 
 
 class TestIntegerSubstrate:
@@ -130,14 +145,17 @@ class TestPrimesAbove:
         assert prime_above(41, Ring(-163)) == Ring(-163).element(0, 1)
 
     def test_inert_primes_stay_rational(self, rg):
-        for p in (3, 5, 7, 11, 13):
+        brute = brute_of_prime_norm(rg.d)
+        for p in PRIMES_BELOW_2000:
             if classify_rational_prime(p, rg) is PrimeClass.INERT:
                 z = prime_above(p, rg)
                 assert z == rg.element(p)
                 assert z.norm() == p * p
+                assert not brute[p], p
 
     def test_nontrivial_primes_have_norm_p(self, rg):
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        brute = brute_of_prime_norm(rg.d)
+        for p in PRIMES_BELOW_2000:
             cls = classify_rational_prime(p, rg)
             if cls is PrimeClass.INERT:
                 continue
@@ -145,16 +163,20 @@ class TestPrimesAbove:
             assert z.norm() == p
             assert z.in_fundamental_sector()
             assert is_quadratic_prime(z)
+            assert z in brute[p], p
 
     def test_ramified_square_is_associate_of_p(self, rg):
-        for p in (2, 3, 7, 11, 19, 43, 67, 163):
+        brute = brute_of_prime_norm(rg.d)
+        for p in PRIMES_BELOW_2000:
             if classify_rational_prime(p, rg) is PrimeClass.RAMIFIED:
                 z = prime_above(p, rg)
                 assert (z * z).is_associated(rg.element(p))
                 assert z.is_associated(z.conjugate())
+                assert brute[p] == {z}, p
 
     def test_split_pair(self, rg):
-        for p in (2, 3, 5, 7, 11, 13, 23, 29, 127):
+        brute = brute_of_prime_norm(rg.d)
+        for p in PRIMES_BELOW_2000:
             if classify_rational_prime(p, rg) is not PrimeClass.SPLIT:
                 continue
             z1, z2 = split_prime_pair(p, rg)
@@ -162,6 +184,7 @@ class TestPrimesAbove:
             assert z1.is_associated(z2.conjugate())
             assert (z1 * z2).is_associated(rg.element(p))
             assert z1 == prime_above(p, rg)
+            assert brute[p] == {z1, z2}, p
 
     def test_split_pair_rejects_nonsplit(self):
         with pytest.raises(NotPrime):

@@ -61,17 +61,24 @@ class TestRing:
             assert Ring(d).basis_kind is expect
 
     def test_omega_square(self):
-        # w^2 = w + (d-1)/4 must hold as element arithmetic.
+        # w^2 = w + (d-1)/4 with conj(w) = 1 - w in the half-integer basis;
+        # w^2 = d with conj(w) = -w in the plain one.  Both are w^2 = T*w + c.
         for d in ALL_D:
             rg = Ring(d)
-            if not rg.half_integer:
-                continue
             w = rg.element(0, 1)
-            assert w * w == rg.element(rg.omega_square, 1)
+            if rg.half_integer:
+                assert w * w == rg.element(rg.omega_square, 1)
+                assert w.conjugate() == rg.element(1, -1)
+            else:
+                assert w * w == rg.c == d
+                assert w.conjugate() == rg.element(0, -1)
+            assert w * w == rg.T * w + rg.c
+            assert w.conjugate() == rg.T - w
 
     def test_unit_counts(self):
         for d in ALL_D:
             rg = Ring(d)
+            assert rg.unit_count == {-1: 4, -3: 6}.get(d, 2)
             assert len(rg.units()) == rg.unit_count
             assert all(u.is_unit() for u in rg.units())
             assert len(set(rg.units())) == rg.unit_count
