@@ -1,31 +1,31 @@
 """Norm-bounded exhaustive search for n-powerfully t-perfect elements.
 
-The search runs over norms, not lattice points.  A smallest-prime-factor
-sieve up to the bound factors every N; N is a norm exactly when each inert
-prime divides it to an even power, and the canonical elements of norm N
-match one-to-one the ways to share each split exponent e between the two
-conjugate primes above p as (r, e - r).  Because delta(n, z) is a product of
-geometric sums over z's prime factorization, each choice's delta follows
-from (r, e - r) and the ramified and inert exponents alone, in exact integer
-arithmetic for any positive even n and any t.  Elements are built only for
+The search runs over norms, not lattice points.  N is a norm exactly when
+each inert prime divides it to an even power, and the canonical elements of
+norm N match one-to-one the ways to share each split exponent e between the
+two conjugate primes above p as (r, e - r).  Because delta(n, z) is a
+product of geometric sums over z's prime factorization, each choice's delta
+follows from (r, e - r) and the ramified and inert exponents alone, in exact
+integer arithmetic for any positive even n and any t.  A depth-first walk
+builds the norms from their prime factors, so it visits no other N; the
+last prime of most norms lies above sqrt(bound / m), where m is the rest of
+the norm, and those primes are counted from a sorted array of split primes
+and tested in closed form rather than visited.  Elements are built only for
 the choices that hit, and every hit is re-validated through the naive
 divisor sum before it is reported.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .divisor_functions import NAIVE_NORM_CAP, delta, delta_naive, geo
 from .primes import PrimeClass, _classify, _primes_above
 from .rings import QuadInt, Ring
-
-# Slice width for the sieve's writes, so no temporary outgrows this many entries.
-_SIEVE_CHUNK = 1 << 16
 
 
 @dataclass
@@ -58,71 +58,58 @@ class SearchReport:
         }
 
 
-def _spf_sieve(bound: int) -> array:
-    """spf[m] is the smallest prime factor of composite m <= bound and 0
-    for primes (and for 0 and 1); 4 bytes per entry."""
-    spf = array("I", [0]) * (bound + 1)
-    root = math.isqrt(bound)
-    is_p = bytearray([1]) * (root + 1)
-    is_p[:2] = b"\0\0"
-    for p in range(2, math.isqrt(root) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
-    # Larger primes first, so each smaller prime overwrites its multiples.
-    for p in range(root, 1, -1):
-        if not is_p[p]:
-            continue
-        fill = array("I", [p]) * _SIEVE_CHUNK
-        step = p * _SIEVE_CHUNK
-        for lo in range(p * p, bound + 1, step):
-            hi = min(lo + step, bound + 1)
-            spf[lo:hi:p] = fill[: len(range(lo, hi, p))]
-    return spf
-
-
-# Class codes for the per-scan table of prime classes; 0 means not yet seen.
+# Class codes in the per-scan prime table; 0 marks a non-prime.
 _SPLIT, _INERT, _RAMIFIED = 1, 2, 3
 _CODE = {
     PrimeClass.SPLIT: _SPLIT,
     PrimeClass.INERT: _INERT,
     PrimeClass.RAMIFIED: _RAMIFIED,
 }
+# bytes.translate table that recodes a split prime as inert.
+_TO_INERT = bytes.maketrans(b"\1", b"\2")
 
 
-def _norms(d: int, bound: int, odd_only: bool):
-    """(N, split, fixed) for every norm N <= bound of some element of ring d.
+def _prime_classes(rg: Ring, bound: int) -> tuple[bytearray, array, list[int]]:
+    """(kinds, split, ramified): kinds[p] is the class code of each prime
+    p <= bound and 0 for every other entry, split is the sorted array of the
+    split primes <= bound and ramified lists the ramified ones."""
+    kinds = bytearray([_SPLIT]) * (bound + 1)
+    kinds[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if kinds[p]:
+            kinds[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    # A prime p > |D| is odd and prime to D, so it has the class of every
+    # prime congruent to it mod |D|: one _classify per residue recodes the
+    # whole residue class.  The primes up to |D| are classified one by one.
+    mod = -(rg.T + 4 * rg.c)
+    for r in range(1, mod):
+        if math.gcd(r, mod) > 1:
+            continue
+        q = next((q for q in range(r + mod, bound + 1, mod) if kinds[q]), None)
+        if q is not None and _classify(q, rg.d) is PrimeClass.INERT:
+            kinds[r + mod :: mod] = kinds[r + mod :: mod].translate(_TO_INERT)
+    ramified = []
+    for p in range(2, min(mod, bound) + 1):
+        if kinds[p]:
+            kinds[p] = _CODE[_classify(p, rg.d)]
+            if kinds[p] == _RAMIFIED:
+                ramified.append(p)
+    split = array("I")
+    p = kinds.find(_SPLIT)
+    while p >= 0:
+        split.append(p)
+        p = kinds.find(_SPLIT, p + 1)
+    return kinds, split, ramified
 
-    split lists (p, e) for the split primes dividing N.  fixed lists
-    (p, k, q) for the others: the prime above p occurs to the power k and
-    has norm q (q = p when ramified, q = p^2 and k = e/2 when inert)."""
-    spf = _spf_sieve(bound)
-    # One byte per prime and scan, so each prime up to the bound is
-    # classified once.
-    kinds = bytearray(bound + 1)
-    for N in range(1, bound + 1, 2 if odd_only else 1):
-        split = []
-        fixed = []
-        m = N
-        while m > 1:
-            p = spf[m] or m
-            m //= p
-            e = 1
-            while m % p == 0:
-                m //= p
-                e += 1
-            kind = kinds[p]
-            if not kind:
-                kind = kinds[p] = _CODE[_classify(p, d)]
-            if kind == _SPLIT:
-                split.append((p, e))
-            elif kind == _INERT:
-                if e % 2:
-                    break
-                fixed.append((p, e // 2, p * p))
-            else:
-                fixed.append((p, e, p))
-        else:
-            yield N, split, fixed
+
+def _iroot(x: int, k: int) -> int:
+    """The integer k-th root of x >= 1, rounded down."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _elements(rg: Ring, split, fixed, choices) -> list[QuadInt]:
@@ -145,31 +132,94 @@ def _elements(rg: Ring, split, fixed, choices) -> list[QuadInt]:
     return out
 
 
+def _choices(N: int, split, fixed, h: int, t: int) -> list[tuple[int, ...]]:
+    """The exponent choices rs (r for each split (p, e)) whose element of
+    norm N has delta = t * N^h."""
+    fixed_delta = math.prod([geo(q**h, k) for _, k, q in fixed])
+    need, rem = divmod(t * N**h, fixed_delta)
+    if rem:
+        return []
+    # Split prime p contributes geo(p^h, r) * geo(p^h, e - r) to delta;
+    # extend the choices prime by prime while the product still divides.
+    partial = [((), need)]
+    for p, e in split:
+        q = p**h
+        partial = [
+            (rs + (r,), rest // v)
+            for rs, rest in partial
+            for r in range(e + 1)
+            if rest % (v := geo(q, r) * geo(q, e - r)) == 0
+        ]
+    return [rs for rs, rest in partial if rest == 1]
+
+
 def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool):
-    """Hits (unsorted) and the count of elements examined."""
+    """Hits (unsorted) and the count of elements examined.
+
+    A depth-first walk over norms m * p^e, primes in increasing order, that
+    opens a child only where m * p^2 <= bound; an inert prime enters with
+    even exponents only, so every node is a norm.  Each node carries its
+    split (p, e) and fixed (p, k, q) factors (the prime above p occurs to
+    the power k and has norm q), its count of canonical elements and the
+    set of their delta values.  With P(m) the largest prime factor of m, the
+    primes p in (max(P(m), sqrt(bound/m)), bound/m] end norms m * p with no
+    children; they are counted in bulk and tested in closed form."""
     h = n // 2
+    kinds, split_primes, ramified = _prime_classes(rg, bound)
+    walk = [p for p in range(3 if odd_only else 2, math.isqrt(bound) + 1) if kinds[p]]
     hits = []
     scanned = 0
-    for N, split, fixed in _norms(rg.d, bound, odd_only):
-        scanned += math.prod([e + 1 for _, e in split])
-        fixed_delta = math.prod([geo(q**h, k) for _, k, q in fixed])
-        need, rem = divmod(t * N**h, fixed_delta)
-        if rem:
-            continue
-        # Split prime p contributes geo(p^h, r) * geo(p^h, e - r) to delta;
-        # extend the choices prime by prime while the product still divides.
-        partial = [((), need)]
-        for p, e in split:
-            q = p**h
-            partial = [
-                (rs + (r,), rest // v)
-                for rs, rest in partial
-                for r in range(e + 1)
-                if rest % (v := geo(q, r) * geo(q, e - r)) == 0
-            ]
-        choices = [rs for rs, rest in partial if rest == 1]
-        if choices:
-            hits += _elements(rg, split, fixed, choices)
+
+    def hit(N, split, fixed):
+        hits.extend(_elements(rg, split, fixed, _choices(N, split, fixed, h, t)))
+
+    def visit(m, last, start, deltas, mult, split, fixed):
+        nonlocal scanned
+        cap = bound // m
+        lo = max(last, math.isqrt(cap))
+        leaves = 0
+        if lo < cap:
+            count = bisect_right(split_primes, cap) - bisect_right(split_primes, lo)
+            leaves = 2 * count
+            for p in ramified:
+                leaves += lo < p <= cap
+        scanned += mult * (1 + leaves)
+        tm = t * m**h
+        if tm in deltas:
+            hit(m, split, fixed)
+        # A leaf prime p multiplies each delta value v of m by 1 + p^h, and
+        # v * (1 + p^h) = t * (m * p)^h solves to p^h = v / (t * m^h - v).
+        for v in deltas:
+            den = tm - v
+            if den > 0 and v % den == 0:
+                ph = v // den
+                p = _iroot(ph, h)
+                if lo < p <= cap and p**h == ph and kinds[p] in (_SPLIT, _RAMIFIED):
+                    if kinds[p] == _SPLIT:
+                        hit(m * p, split + ((p, 1),), fixed)
+                    else:
+                        hit(m * p, split, fixed + ((p, 1, p),))
+        for j in range(start, len(walk)):
+            p = walk[j]
+            if p * p > cap:
+                break
+            kind = kinds[p]
+            # The primes above p have norm p, or p^2 when p is inert.
+            q = p * p if kind == _INERT else p
+            qh = q**h
+            k, qk = 1, q
+            while qk <= cap:
+                if kind == _SPLIT:
+                    fs = {geo(qh, r) * geo(qh, k - r) for r in range(k // 2 + 1)}
+                    child = mult * (k + 1), split + ((p, k),), fixed
+                else:
+                    fs = (geo(qh, k),)
+                    child = mult, split, fixed + ((p, k, q),)
+                visit(m * qk, p, j + 1, {v * f for v in deltas for f in fs}, *child)
+                k, qk = k + 1, qk * q
+
+    # An odd-norm scan keeps 2 out of both the walk and the leaves.
+    visit(1, 2 if odd_only else 1, 0, {1}, 1, (), ())
     return hits, scanned
 
 
@@ -178,11 +228,19 @@ def enumerate_canonical(rg: Ring, bound: int):
     order."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    for _, split, fixed in _norms(rg.d, bound, False):
-        choices = itertools.product(*(range(e + 1) for _, e in split))
-        elems = _elements(rg, split, fixed, choices)
-        elems.sort(key=QuadInt.sort_key)
-        yield from elems
+    # 4N = (2a + T*b)^2 - D*b^2, so the ball lies in 0 <= -D*b^2 <= 4*bound
+    # and |2a + T*b| <= s = sqrt(4*bound + D*b^2).  The sector (see
+    # QuadInt.in_fundamental_sector) has b >= 0, and a > 0 where b = 0 or
+    # d is -1 or -3.
+    T, D = rg.T, rg.T + 4 * rg.c
+    a_positive = rg.d in (-1, -3)
+    elems = []
+    for b in range(math.isqrt(4 * bound // -D) + 1):
+        s = math.isqrt(4 * bound + D * b * b)
+        lo = 1 if b == 0 or a_positive else -((s + T * b) // 2)
+        elems += [QuadInt(rg, a, b) for a in range(lo, (s - T * b) // 2 + 1)]
+    elems.sort(key=QuadInt.sort_key)
+    yield from elems
 
 
 def _validate(n: int, t: int, bound: int) -> None:

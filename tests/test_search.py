@@ -3,6 +3,8 @@ oracle, frozen search fixtures and the report contract."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import pytest
 
 from quadperfect import (
@@ -14,6 +16,7 @@ from quadperfect import (
     search_odd_norm,
     search_perfect,
 )
+from quadperfect.search import _iroot
 
 from conftest import NORM2_D, norm_ball_brute
 
@@ -83,6 +86,14 @@ class TestSearchPerfect:
         assert all(z.norm() == 60 for z in rep.hits)
         assert rep.elements_scanned == 9478
 
+    @pytest.mark.parametrize(
+        "d,scanned,norms", [(-1, 785387, {90}), (-7, 1187379, {28, 8128})]
+    )
+    def test_frozen_1e6(self, d, scanned, norms):
+        rep = search_perfect(Ring(d), 2, 2, 10**6)
+        assert rep.elements_scanned == scanned
+        assert {z.norm() for z in rep.hits} == norms
+
     def test_inert_two_rings_empty_small(self):
         for d in (-163, -67, -43):
             rep = search_perfect(Ring(d), 2, 2, 3000)
@@ -146,20 +157,48 @@ class TestLatticeOracle:
     BOUND = 300
 
     def brute(self, rg, n, t, odd_only):
+        """The hits in the ball of radius BOUND and the ball's norms, both
+        in (norm, a, b) order."""
         ball = sorted(norm_ball_brute(rg, self.BOUND), key=QuadInt.sort_key)
         if odd_only:
             ball = [z for z in ball if z.norm() % 2]
         hits = [z for z in ball if delta_naive(n, z) == t * z.norm() ** (n // 2)]
-        return hits, len(ball)
+        return hits, [z.norm() for z in ball]
 
     @pytest.mark.parametrize("n,t", [(2, 2), (2, 3), (4, 2), (4, 3)])
     def test_search_perfect(self, rg, n, t):
         rep = search_perfect(rg, n, t, self.BOUND)
-        assert (rep.hits, rep.elements_scanned) == self.brute(rg, n, t, False)
+        hits, norms = self.brute(rg, n, t, False)
+        assert (rep.hits, rep.elements_scanned) == (hits, len(norms))
 
     def test_search_odd_norm(self, rg):
         rep = search_odd_norm(rg, self.BOUND)
-        assert (rep.hits, rep.elements_scanned) == self.brute(rg, 2, 2, True)
+        hits, norms = self.brute(rg, 2, 2, True)
+        assert (rep.hits, rep.elements_scanned) == (hits, len(norms))
+
+    @pytest.mark.parametrize("d", [-1, -2, -7, -11])
+    @pytest.mark.parametrize(
+        "n,t,odd_only", [(2, 2, False), (2, 3, False), (4, 2, False), (2, 2, True)]
+    )
+    def test_every_bound(self, d, n, t, odd_only):
+        # Every bound up to BOUND, so hits at N = bound and norms whose last
+        # prime sits on the boundary p^2 = bound / m are all reached.
+        rg = Ring(d)
+        hits, norms = self.brute(rg, n, t, odd_only)
+        for bound in range(1, self.BOUND + 1):
+            if odd_only:
+                rep = search_odd_norm(rg, bound)
+            else:
+                rep = search_perfect(rg, n, t, bound)
+            assert rep.hits == [z for z in hits if z.norm() <= bound], bound
+            assert rep.elements_scanned == bisect_right(norms, bound), bound
+
+
+def test_iroot():
+    for k in range(1, 6):
+        for x in [*range(1, 3000), 10**60 - 1, 10**60, 10**60 + 1]:
+            r = _iroot(x, k)
+            assert r**k <= x < (r + 1) ** k, (x, k)
 
 
 class TestOddNormScan:
