@@ -5,7 +5,8 @@ conjecture.  Elements are written in the grammar <int>[(+|-)<uint>*w]
 (with i accepted for w when d=-1); --json switches every subcommand to a
 stable, key-sorted JSON rendering with large integers as decimal strings.
 Exit codes: 0 on success (an empty search is a success), 2 on usage
-errors, 1 on computation errors.
+errors and on inputs beyond a safety cap (TooLarge), 1 on computation
+errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from . import __version__
 from .divisor_functions import abundancy_index, delta, divisors
-from .errors import PreconditionFailed
+from .errors import PreconditionFailed, TooLarge
 from .primes import classify_rational_prime, factor, is_prime
 from .rings import ADMISSIBLE_D, QuadInt, Ring, parse_element
 from .search import search_odd_norm, search_perfect
@@ -348,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError) as exc:
         print(f"qp: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, TooLarge) else 1
 
 
 if __name__ == "__main__":

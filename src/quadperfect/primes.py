@@ -1,23 +1,25 @@
 """Rational prime classification and unique factorization in the nine rings.
 
-The integer substrate is self-contained: deterministic Miller-Rabin (valid
-below 3.317e24), trial division up to 10^6 and Brent's rho for anything the
-trial bound misses.  On the quadratic side a rational prime is ramified,
-split or inert according to whether d is zero, a nonzero square or a
-non-square mod p; primes above p come from a bounded search over the norm
-equation.  An element factorization finds the exponent of one prime of each
-split pair by repeated exact division and gives its conjugate the rest of
-the norm's exponent.
+The integer substrate is self-contained: Miller-Rabin with a witness set
+that is deterministic below 3.317e24 (above it a witness still proves
+compositeness, and a probable prime raises TooLarge), trial division up to
+10^6, a perfect-power test and Brent's rho for anything the trial bound
+misses.  On the quadratic side a rational prime is ramified, split or inert
+according to whether d is zero, a nonzero square or a non-square mod p; a
+prime above a split or ramified p comes from a square root of the
+discriminant mod p (Tonelli-Shanks) and Cornacchia's algorithm, both
+O(log p) steps.  An element factorization finds the exponent of one prime
+of each split pair by repeated exact division and gives its conjugate the
+rest of the norm's exponent.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
-from .errors import MixedRings, NotPrime, ZeroElement
+from .errors import MixedRings, NotPrime, TooLarge, ZeroElement
 from .rings import QuadInt, Ring
 
 _TRIAL_BOUND = 10**6
@@ -29,14 +31,16 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 3.3e24."""
+    """Miller-Rabin primality test, deterministic for 0 <= n < 3.3e24.
+
+    A witness proves n composite at any size; a probable prime at or above
+    that limit raises TooLarge.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
-        raise ValueError(f"deterministic witness set only certifies n < {_MR_LIMIT}")
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -50,7 +54,22 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise TooLarge(
+            f"{n} is a probable prime; the deterministic witness set only "
+            f"certifies n < {_MR_LIMIT}"
+        )
     return True
+
+
+def _iroot(x: int, k: int) -> int:
+    """The integer k-th root of x >= 1, rounded down."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _brent_rho(n: int) -> int:
@@ -83,15 +102,22 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-def _factor_into(n: int, counts: dict[int, int]) -> None:
+def _factor_into(n: int, counts: dict[int, int], k: int = 1) -> None:
+    """Add the prime factorization of n^k to counts."""
     if n == 1:
         return
     if is_prime(n):
-        counts[n] = counts.get(n, 0) + 1
+        counts[n] = counts.get(n, 0) + k
         return
+    # Rho needs about sqrt(p) steps to split a power of a large prime p.
+    for e in range(2, n.bit_length()):
+        r = _iroot(n, e)
+        if r**e == n:
+            _factor_into(r, counts, k * e)
+            return
     d = _brent_rho(n)
-    _factor_into(d, counts)
-    _factor_into(n // d, counts)
+    _factor_into(d, counts, k)
+    _factor_into(n // d, counts, k)
 
 
 @dataclass(frozen=True)
@@ -180,25 +206,49 @@ def classify_rational_prime(p: int, rg: Ring) -> PrimeClass:
     return _classify(p, rg.d)
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo an odd prime p
+    (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def _norm_equation_solutions(p: int, rg: Ring) -> list[QuadInt]:
-    """All x with N(x) = p, via a bounded coordinate search."""
-    # 4 N(a + b*w) = (2a + T*b)^2 - D*b^2 with D = T + 4c < 0, so search
-    # u = 2a + T*b, v = b with u^2 - D v^2 = 4p and u = T*v mod 2.
-    T, D, p4 = rg.T, rg.T + 4 * rg.c, 4 * p
-    out = []
-    vmax = math.isqrt(p4 // -D)
-    for v in range(-vmax, vmax + 1):
-        rem = p4 + D * v * v
-        u = math.isqrt(rem)
-        if u * u != rem:
-            continue
-        for uu in {u, -u}:
-            if (uu - T * v) % 2 == 0:
-                out.append(rg.element((uu - T * v) // 2, v))
-    return out
+    """An x with N(x) = p and its conjugate, for a split or ramified p."""
+    # 4 N(a + b*w) = (2a + T*b)^2 - D*b^2 with D = T + 4c < 0, so solve
+    # u^2 - D v^2 = 4p by the 4p form of Cornacchia's algorithm (Cohen,
+    # Alg. 1.5.3) and take b = v, a = (u - T*v)/2.
+    T, D = rg.T, rg.T + 4 * rg.c
+    if p == 2:
+        # 8 = u^2 - D v^2 forces v = 1, so 8 + D must be a square.
+        u, v = math.isqrt(8 + D), 1
+    else:
+        u = _sqrt_mod(D, p)
+        if (u - D) % 2:
+            u = p - u
+        a, lim = 2 * p, math.isqrt(4 * p)
+        while u > lim:
+            a, u = u, a % u
+        v = math.isqrt((4 * p - u * u) // -D)
+    x = rg.element((u - T * v) // 2, v)
+    assert x.norm() == p, (p, rg.d)
+    return [x, x.conjugate()]
 
 
-@functools.lru_cache(maxsize=None)
 def _primes_above(p: int, d: int) -> tuple[QuadInt, ...]:
     rg = Ring(d)
     cls = _classify(p, d)

@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .divisor_functions import NAIVE_NORM_CAP, delta, delta_naive, geo
-from .primes import PrimeClass, _classify, _primes_above
+from .primes import PrimeClass, _classify, _iroot, _primes_above
 from .rings import QuadInt, Ring
 
 
@@ -100,16 +100,6 @@ def _prime_classes(rg: Ring, bound: int) -> tuple[bytearray, array, list[int]]:
         split.append(p)
         p = kinds.find(_SPLIT, p + 1)
     return kinds, split, ramified
-
-
-def _iroot(x: int, k: int) -> int:
-    """The integer k-th root of x >= 1, rounded down."""
-    r = 1 << -(-x.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + x // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
 
 
 def _elements(rg: Ring, split, fixed, choices) -> list[QuadInt]:

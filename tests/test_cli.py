@@ -41,6 +41,12 @@ class TestFactor:
         code, out, _ = run(capsys, "factor", "--d", "-1", "--elem", "9+3*i")
         assert code == 0
 
+    def test_large_norm_prime(self, capsys):
+        code, out, _ = run(capsys, "factor", "--d", "-1", "--elem=1000000000039+1*w")
+        assert code == 0
+        norms = [line.split()[-1] for line in out.splitlines()[1:]]
+        assert norms == ["2", "89", "337", "64969", "256592474325833"]
+
     def test_zero_is_computation_error(self, capsys):
         code, _, err = run(capsys, "factor", "--d", "-1", "--elem", "0")
         assert code == 1
@@ -99,6 +105,13 @@ class TestDivisorsClassify:
         assert code == 1
         code, _, err = run(capsys, "classify", "--d", "-1", "--elem", "2+1*w")
         assert code == 1
+
+
+    def test_classify_beyond_witness_range(self, capsys):
+        code, out, err = run(capsys, "classify", "--d", "-1", f"--elem={2**89 - 1}")
+        assert code == 2 and out == ""
+        assert "qp: error" in err and "probable prime" in err
+        assert "Traceback" not in err
 
 
 class TestSearch:

@@ -6,18 +6,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadperfect import (
+    ADMISSIBLE_D,
     OddExponent,
+    PrimeClass,
     Ring,
     TooLarge,
     ZeroElement,
     abundancy_index,
+    classify_rational_prime,
     delta,
     delta_naive,
     divisors,
     factor,
     is_powerfully_perfect,
+    is_prime,
     sigma,
 )
 from quadperfect.divisor_functions import NAIVE_NORM_CAP
@@ -50,6 +56,48 @@ class TestDivisors:
 
     def test_prime_has_two_classes(self):
         assert len(divisors(Ring(-19).element(2))) == 2
+
+
+def prime_from(rg: Ring, a: int, b: int):
+    """The first of a + b*w, a + 2b*w, (a+1) + b*w, ... whose norm is a
+    rational prime, for b != 0.  (In d=-7 every norm with b odd is even,
+    and with b = 0 every norm is a square.)"""
+    while True:
+        for z in (rg.element(a, b), rg.element(a, 2 * b)):
+            if is_prime(z.norm()):
+                return z
+        a += 1
+
+
+@st.composite
+def known_factorizations(draw):
+    """z = unit * prod pi^e for primes pi known by construction: one prime
+    of norm 10^16 to 10^21 with exponent up to 3, at most one of norm 10^6
+    to 10^10, a few small ones and at most one inert rational prime, so
+    that N(z) runs from about 10^16 to past 10^60.  Returns z and
+    {canonical pi: e}."""
+    rg = Ring(draw(st.sampled_from(ADMISSIBLE_D)))
+    coords = lambda lo, hi: (
+        draw(st.integers(lo, hi)),
+        draw(st.integers(1, hi)) * draw(st.sampled_from((1, -1))),
+    )
+    parts = [(prime_from(rg, *coords(10**8, 3 * 10**9)), draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        parts.append((prime_from(rg, *coords(10**3, 10**4)), 1))
+    for _ in range(draw(st.integers(0, 3))):
+        parts.append((prime_from(rg, *coords(-40, 40)), draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        q = draw(st.integers(2, 300))
+        while not (is_prime(q) and classify_rational_prime(q, rg) is PrimeClass.INERT):
+            q += 1
+        parts.append((rg.element(q), 1))
+    z = draw(st.sampled_from(rg.units()))
+    expect: dict = {}
+    for pi, e in parts:
+        key = pi.canonical_associate()
+        expect[key] = expect.get(key, 0) + e
+        z = z * pi**e
+    return z, expect
 
 
 class TestDelta:
@@ -107,6 +155,30 @@ class TestDelta:
             delta(2, rg.zero())
         with pytest.raises(ZeroElement):
             delta_naive(2, rg.zero())
+
+    def test_large_norm_prime(self):
+        # N(z) = 2 * 89 * 337 * 64969 * 256592474325833.
+        z = Ring(-1).element(1000000000039, 1)
+        expect1 = expect2 = 1
+        for p in (2, 89, 337, 64969, 256592474325833):
+            expect1 *= 1 + p
+            expect2 *= 1 + p + p * p
+        assert delta(2, z) == expect1
+        # N(z*z) is beyond the deterministic witness range.
+        assert delta(2, z * z) == expect2
+
+    @settings(max_examples=20)
+    @given(known_factorizations(), st.sampled_from((2, 4, -2)))
+    def test_known_factorizations(self, case, n):
+        z, expect = case
+        fac = factor(z)
+        assert fac.value() == z
+        assert dict(fac.factors) == expect
+        h = abs(n) // 2
+        closed = 1
+        for pi, e in expect.items():
+            closed *= sum(pi.norm() ** (h * i) for i in range(e + 1))
+        assert delta(n, z) == (closed if n > 0 else Fraction(closed, z.norm() ** h))
 
     def test_naive_cap(self):
         big = Ring(-1).element(1001, 1000)

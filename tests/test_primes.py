@@ -12,6 +12,7 @@ from quadperfect import (
     NotPrime,
     PrimeClass,
     Ring,
+    TooLarge,
     ZeroElement,
     classify_rational_prime,
     factor,
@@ -63,8 +64,11 @@ class TestIntegerSubstrate:
         assert not is_prime(1000003 * 1000033)
 
     def test_is_prime_refuses_beyond_witness_range(self):
-        with pytest.raises(ValueError):
-            is_prime(10**25 + 7)
+        # A witness proves compositeness at any size; a probable prime
+        # beyond the deterministic range cannot be certified.
+        assert not is_prime(10**25 + 7)
+        with pytest.raises(TooLarge):
+            is_prime(2**89 - 1)
 
     def test_factor_rational_reconstructs(self):
         for n in list(range(1, 2000)) + [2**40, 3**25, 10**12 + 39]:
@@ -78,6 +82,14 @@ class TestIntegerSubstrate:
         # Both factors sit above the trial-division bound.
         fac = factor_rational(1000003 * 1000033)
         assert fac.factors == ((1000003, 1), (1000033, 1))
+
+    def test_factor_rational_prime_powers_beyond_witness_range(self):
+        # Rho would need about sqrt(p) steps on p^2; the perfect-power test
+        # takes the root first.
+        p, q = 256592474325833, 10000019
+        assert factor_rational(p**2).factors == ((p, 2),)
+        assert factor_rational(2 * p**3 * q).factors == ((2, 1), (q, 1), (p, 3))
+        assert factor_rational(q**2 * p**2).factors == ((q, 2), (p, 2))
 
     def test_factor_rational_rejects_nonpositive(self):
         for n in (0, -6):
@@ -186,6 +198,18 @@ class TestPrimesAbove:
             assert z1 == prime_above(p, rg)
             assert brute[p] == {z1, z2}, p
 
+    def test_split_prime_near_1e18(self, rg):
+        p = 10**18 + 1
+        while not (is_prime(p) and classify_rational_prime(p, rg) is PrimeClass.SPLIT):
+            p += 2
+        z1, z2 = split_prime_pair(p, rg)
+        assert z1 == prime_above(p, rg)
+        for z in (z1, z2):
+            assert z.norm() == p
+            assert z == z.canonical_associate()
+        assert z1.is_associated(z2.conjugate())
+        assert not z1.is_associated(z2)
+
     def test_split_pair_rejects_nonsplit(self):
         with pytest.raises(NotPrime):
             split_prime_pair(3, Ring(-1))
@@ -283,6 +307,15 @@ class TestFactor:
         obj = factor(Ring(-2).element(2, 1)).to_json()
         assert set(obj) == {"unit", "factors"}
         assert all(set(f) == {"prime", "exp", "norm"} for f in obj["factors"])
+
+    def test_large_norm_prime(self):
+        # The last norm prime is far beyond the reach of a coordinate scan.
+        rg = Ring(-1)
+        z = rg.element(1000000000039, 1)
+        fac = factor(z)
+        assert [pi.norm() for pi, _ in fac.factors] == [2, 89, 337, 64969, 256592474325833]
+        assert all(e == 1 for _, e in fac.factors)
+        assert fac.value() == z
 
     def test_split_exponent_recovery(self):
         # (2+i)^3 (2-i): norms alone cannot separate the conjugates.

@@ -16,7 +16,7 @@ from quadperfect import (
     search_odd_norm,
     search_perfect,
 )
-from quadperfect.search import _iroot
+from quadperfect.primes import _iroot
 
 from conftest import NORM2_D, norm_ball_brute
 
