@@ -21,69 +21,40 @@ from .errors import (
     ZeroElement,
 )
 from .primes import (
-    IntFactorization,
     PrimeClass,
-    QuadFactorization,
     classify_rational_prime,
     factor,
     factor_rational,
-    int_valuation,
     is_prime,
     is_quadratic_prime,
     prime_above,
     split_prime_pair,
     valuation,
 )
-from .rings import (
-    ADMISSIBLE_D,
-    BasisKind,
-    QuadInt,
-    Ring,
-    element_from_json,
-    parse_element,
-    ring,
-)
-from .search import (
-    SearchReport,
-    enumerate_canonical,
-    search_odd_norm,
-    search_perfect,
-)
+from .rings import ADMISSIBLE_D, QuadInt, Ring, parse_element
+from .search import search_odd_norm, search_perfect
 from .theorems import (
-    Check,
-    EvenNormDecomposition,
-    VerifierReport,
     check_mersenne_inert,
     check_odd_structure,
     check_prime_count,
     check_structure_bounds,
     conjecture_scan,
-    count_nonassociated_primes,
     decompose_even,
     lift_to_3perfect,
     norm2_prime,
-    odd_factorization_shape_report,
-    smallest_odd_prime_norms,
 )
 
 __all__ = [
     "ADMISSIBLE_D",
-    "BasisKind",
-    "Check",
-    "EvenNormDecomposition",
-    "IntFactorization",
     "MixedRings",
     "NotPrime",
     "OddExponent",
     "PreconditionFailed",
     "PrimeClass",
-    "QuadFactorization",
     "QuadInt",
     "Ring",
-    "SearchReport",
     "SplitDichotomyViolation",
     "TooLarge",
-    "VerifierReport",
     "ZeroElement",
     "abundancy_index",
     "check_mersenne_inert",
@@ -92,29 +63,22 @@ __all__ = [
     "check_structure_bounds",
     "classify_rational_prime",
     "conjecture_scan",
-    "count_nonassociated_primes",
     "decompose_even",
     "delta",
     "delta_naive",
     "divisors",
-    "element_from_json",
-    "enumerate_canonical",
     "factor",
     "factor_rational",
-    "int_valuation",
     "is_powerfully_perfect",
     "is_prime",
     "is_quadratic_prime",
     "lift_to_3perfect",
     "norm2_prime",
-    "odd_factorization_shape_report",
     "parse_element",
     "prime_above",
-    "ring",
     "search_odd_norm",
     "search_perfect",
     "sigma",
-    "smallest_odd_prime_norms",
     "split_prime_pair",
     "valuation",
 ]

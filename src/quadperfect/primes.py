@@ -5,12 +5,13 @@ that is deterministic below 3.317e24 (above it a witness still proves
 compositeness, and a probable prime raises TooLarge), trial division up to
 10^6, a perfect-power test and Brent's rho for anything the trial bound
 misses.  On the quadratic side a rational prime is ramified, split or inert
-according to whether d is zero, a nonzero square or a non-square mod p; a
-prime above a split or ramified p comes from a square root of the
-discriminant mod p (Tonelli-Shanks) and Cornacchia's algorithm, both
-O(log p) steps.  An element factorization finds the exponent of one prime
-of each split pair by repeated exact division and gives its conjugate the
-rest of the norm's exponent.
+according to whether the discriminant D is zero, a nonzero square or a
+non-square mod p (for p = 2: D even, D = 1 mod 8 or D = 5 mod 8); a prime
+above a split or ramified p comes from a square root of the discriminant
+mod p (Tonelli-Shanks) and Cornacchia's algorithm, both O(log p) steps.
+An element factorization finds the exponent of one prime of each split
+pair by repeated exact division and gives its conjugate the rest of the
+norm's exponent.
 """
 
 from __future__ import annotations
@@ -130,12 +131,6 @@ class IntFactorization:
     def __iter__(self):
         return iter(self.factors)
 
-    def reconstruct(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
 
 def factor_rational(n: int) -> IntFactorization:
     """Complete prime factorization of a positive integer."""
@@ -184,26 +179,23 @@ class PrimeClass(enum.Enum):
     INERT = "inert"
 
 
-def _classify(p: int, d: int) -> PrimeClass:
-    if p == 2:
-        # 2 = -sqrt(-2)^2 for d=-2 and -i(1+i)^2 for d=-1; it splits only in
-        # d=-7 (where x^2+x+2 has a root mod 2) and stays prime elsewhere.
-        if d in (-1, -2):
-            return PrimeClass.RAMIFIED
-        if d == -7:
-            return PrimeClass.SPLIT
-        return PrimeClass.INERT
-    if (-d) % p == 0:
+def _classify(p: int, rg: Ring) -> PrimeClass:
+    D = rg.D
+    if D % p == 0:
         return PrimeClass.RAMIFIED
-    if pow(d % p, (p - 1) // 2, p) == 1:
-        return PrimeClass.SPLIT
-    return PrimeClass.INERT
+    if p == 2:
+        # D = 1 + 4c is odd here, and 2 splits when w^2 = w + c has a root
+        # mod 2, that is when c is even.
+        square = D % 8 == 1
+    else:
+        square = pow(D % p, (p - 1) // 2, p) == 1
+    return PrimeClass.SPLIT if square else PrimeClass.INERT
 
 
 def classify_rational_prime(p: int, rg: Ring) -> PrimeClass:
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not a rational prime")
-    return _classify(p, rg.d)
+    return _classify(p, rg)
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -229,10 +221,10 @@ def _sqrt_mod(a: int, p: int) -> int:
 
 def _norm_equation_solutions(p: int, rg: Ring) -> list[QuadInt]:
     """An x with N(x) = p and its conjugate, for a split or ramified p."""
-    # 4 N(a + b*w) = (2a + T*b)^2 - D*b^2 with D = T + 4c < 0, so solve
+    # 4 N(a + b*w) = (2a + T*b)^2 - D*b^2 with D < 0, so solve
     # u^2 - D v^2 = 4p by the 4p form of Cornacchia's algorithm (Cohen,
     # Alg. 1.5.3) and take b = v, a = (u - T*v)/2.
-    T, D = rg.T, rg.T + 4 * rg.c
+    T, D = rg.T, rg.D
     if p == 2:
         # 8 = u^2 - D v^2 forces v = 1, so 8 + D must be a square.
         u, v = math.isqrt(8 + D), 1
@@ -249,9 +241,8 @@ def _norm_equation_solutions(p: int, rg: Ring) -> list[QuadInt]:
     return [x, x.conjugate()]
 
 
-def _primes_above(p: int, d: int) -> tuple[QuadInt, ...]:
-    rg = Ring(d)
-    cls = _classify(p, d)
+def _primes_above(p: int, rg: Ring) -> tuple[QuadInt, ...]:
+    cls = _classify(p, rg)
     if cls is PrimeClass.INERT:
         return (rg.element(p),)
     reps = {z.canonical_associate() for z in _norm_equation_solutions(p, rg)}
@@ -269,14 +260,14 @@ def prime_above(p: int, rg: Ring) -> QuadInt:
     otherwise (the distinguished one of the conjugate pair when p splits)."""
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not a rational prime")
-    return _primes_above(p, rg.d)[0]
+    return _primes_above(p, rg)[0]
 
 
 def split_prime_pair(p: int, rg: Ring) -> tuple[QuadInt, QuadInt]:
     """Both canonical primes above a split p."""
     if classify_rational_prime(p, rg) is not PrimeClass.SPLIT:
         raise NotPrime(f"{p} does not split in d={rg.d}")
-    pair = _primes_above(p, rg.d)
+    pair = _primes_above(p, rg)
     return pair[0], pair[1]
 
 
@@ -291,7 +282,7 @@ def is_quadratic_prime(z: QuadInt) -> bool:
     if r * r != n or not is_prime(r):
         return False
     # Norm q^2 is prime only for the inert rational prime q itself (up to units).
-    return _classify(r, z.ring.d) is PrimeClass.INERT and z.is_associated(
+    return _classify(r, z.ring) is PrimeClass.INERT and z.is_associated(
         z.ring.element(r)
     )
 
@@ -332,12 +323,6 @@ class QuadFactorization:
             out = out * pi**e
         return out
 
-    def norm(self) -> int:
-        out = 1
-        for pi, e in self.factors:
-            out *= pi.norm() ** e
-        return out
-
     def to_json(self) -> dict:
         return {
             "unit": self.unit.to_json(),
@@ -355,17 +340,17 @@ def factor(z: QuadInt) -> QuadFactorization:
     rg = z.ring
     factors: list[tuple[QuadInt, int]] = []
     for p, e in factor_rational(z.norm()):
-        cls = _classify(p, rg.d)
+        cls = _classify(p, rg)
         if cls is PrimeClass.INERT:
             # Inert primes contribute squares to the norm.
             assert e % 2 == 0, (z, p, e)
             factors.append((rg.element(p), e // 2))
         elif cls is PrimeClass.RAMIFIED:
-            factors.append((_primes_above(p, rg.d)[0], e))
+            factors.append((_primes_above(p, rg)[0], e))
         else:
             # The conjugate prime takes what pi leaves of p^e; were r wrong,
             # the unit check below would fail.
-            pi, pibar = _primes_above(p, rg.d)
+            pi, pibar = _primes_above(p, rg)
             r = _valuation_unchecked(pi, z)
             factors += [(x, k) for x, k in ((pi, r), (pibar, e - r)) if k]
     factors.sort(key=lambda fe: fe[0].sort_key())

@@ -7,12 +7,13 @@ w = (1 + sqrt(d))/2.  Elements are stored as a + b*w, so every coordinate pair
 is a pair of plain integers in both cases.  Both bases obey one law,
 w^2 = T*w + c (T = 0, c = d for the first; T = 1, c = (d - 1)/4 for the
 second), and product, conjugate and norm are each written once in terms of
-T and c.  All arithmetic is exact; nothing here touches floating point.
+T and c.  The field discriminant D (4d for the first basis, d for the
+second) decides how a rational prime factors.  All arithmetic is exact;
+nothing here touches floating point.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 
 from .errors import MixedRings, ZeroElement
@@ -21,16 +22,12 @@ from .errors import MixedRings, ZeroElement
 ADMISSIBLE_D = (-163, -67, -43, -19, -11, -7, -3, -2, -1)
 
 
-class BasisKind(enum.Enum):
-    PLAIN = "plain"          # {1, sqrt(d)}
-    HALF_INTEGER = "half"    # {1, (1 + sqrt(d))/2}
-
-
 class Ring:
     """One of the nine rings, identified by its squarefree d."""
 
-    # T and c give the law w^2 = T*w + c of the basis element w.
-    __slots__ = ("d", "basis_kind", "T", "c", "_units")
+    # T and c give the law w^2 = T*w + c of the basis element w; D is the
+    # field discriminant.
+    __slots__ = ("d", "T", "c", "D", "_units")
 
     _cache: dict[int, "Ring"] = {}
 
@@ -42,23 +39,10 @@ class Ring:
         self = object.__new__(cls)
         self.d = d
         self.T, self.c = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
-        self.basis_kind = BasisKind.HALF_INTEGER if self.T else BasisKind.PLAIN
+        self.D = self.T + 4 * self.c
         self._units = None
         cls._cache[d] = self
         return self
-
-    @property
-    def half_integer(self) -> bool:
-        return self.basis_kind is BasisKind.HALF_INTEGER
-
-    @property
-    def omega_square(self) -> int:
-        """c with w^2 = w + c in the half-integer basis."""
-        return (self.d - 1) // 4
-
-    @property
-    def unit_count(self) -> int:
-        return len(self.units())
 
     def units(self) -> tuple["QuadInt", ...]:
         if self._units is None:
@@ -83,18 +67,8 @@ class Ring:
     def one(self) -> "QuadInt":
         return QuadInt(self, 1, 0)
 
-    def parse(self, text: str) -> "QuadInt":
-        return parse_element(self, text)
-
-    def __reduce__(self):
-        return (Ring, (self.d,))
-
     def __repr__(self) -> str:
         return f"Ring({self.d})"
-
-
-def ring(d: int) -> Ring:
-    return Ring(d)
 
 
 # Strict element grammar: <int> [("+"|"-") <uint> "*w"], no whitespace.
@@ -114,14 +88,6 @@ def parse_element(rg: Ring, text: str) -> "QuadInt":
     if m.group(2) == "-":
         b = -b
     return rg.element(a, b)
-
-
-def element_from_json(obj: dict) -> "QuadInt":
-    try:
-        d, a, b = int(obj["d"]), int(obj["a"]), int(obj["b"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"element object must have integer d, a, b: {obj!r}") from exc
-    return Ring(d).element(a, b)
 
 
 class QuadInt:
@@ -229,10 +195,6 @@ class QuadInt:
             return None
         return QuadInt(self.ring, qa, qb)
 
-    def divides(self, other: "QuadInt") -> bool:
-        o = self._coerce(other)
-        return o.exact_divide(self) is not None
-
     def is_associated(self, other) -> bool:
         o = self._coerce(other)
         if self.is_zero() or o.is_zero():
@@ -273,17 +235,6 @@ class QuadInt:
 
     def to_json(self) -> dict:
         return {"d": self.ring.d, "a": self.a, "b": self.b}
-
-    def pretty(self) -> str:
-        """Mathematical rendering; uses i for d=-1."""
-        a, b = self.a, self.b
-        sym = "i" if self.ring.d == -1 else "w"
-        if b == 0:
-            return str(a)
-        bs = "" if abs(b) == 1 else str(abs(b))
-        head = "" if a == 0 else f"{a}"
-        sign = "-" if b < 0 else ("+" if head else "")
-        return f"{head}{sign}{bs}{sym}"
 
     def __str__(self) -> str:
         if self.b == 0:

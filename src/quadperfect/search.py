@@ -81,17 +81,17 @@ def _prime_classes(rg: Ring, bound: int) -> tuple[bytearray, array, list[int]]:
     # A prime p > |D| is odd and prime to D, so it has the class of every
     # prime congruent to it mod |D|: one _classify per residue recodes the
     # whole residue class.  The primes up to |D| are classified one by one.
-    mod = -(rg.T + 4 * rg.c)
+    mod = -rg.D
     for r in range(1, mod):
         if math.gcd(r, mod) > 1:
             continue
         q = next((q for q in range(r + mod, bound + 1, mod) if kinds[q]), None)
-        if q is not None and _classify(q, rg.d) is PrimeClass.INERT:
+        if q is not None and _classify(q, rg) is PrimeClass.INERT:
             kinds[r + mod :: mod] = kinds[r + mod :: mod].translate(_TO_INERT)
     ramified = []
     for p in range(2, min(mod, bound) + 1):
         if kinds[p]:
-            kinds[p] = _CODE[_classify(p, rg.d)]
+            kinds[p] = _CODE[_classify(p, rg)]
             if kinds[p] == _RAMIFIED:
                 ramified.append(p)
     split = array("I")
@@ -108,10 +108,10 @@ def _elements(rg: Ring, split, fixed, choices) -> list[QuadInt]:
     fixed part of the norm's factorization."""
     base = rg.one()
     for p, k, _ in fixed:
-        base = base * _primes_above(p, rg.d)[0] ** k
+        base = base * _primes_above(p, rg)[0] ** k
     parts = []
     for p, e in split:
-        pi, pibar = _primes_above(p, rg.d)
+        pi, pibar = _primes_above(p, rg)
         parts.append([pi**r * pibar ** (e - r) for r in range(e + 1)])
     out = []
     for rs in choices:
@@ -211,26 +211,6 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool):
     # An odd-norm scan keeps 2 out of both the walk and the leaves.
     visit(1, 2 if odd_only else 1, 0, {1}, 1, (), ())
     return hits, scanned
-
-
-def enumerate_canonical(rg: Ring, bound: int):
-    """All sector-canonical elements with norm <= bound, in (norm, a, b)
-    order."""
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    # 4N = (2a + T*b)^2 - D*b^2, so the ball lies in 0 <= -D*b^2 <= 4*bound
-    # and |2a + T*b| <= s = sqrt(4*bound + D*b^2).  The sector (see
-    # QuadInt.in_fundamental_sector) has b >= 0, and a > 0 where b = 0 or
-    # d is -1 or -3.
-    T, D = rg.T, rg.T + 4 * rg.c
-    a_positive = rg.d in (-1, -3)
-    elems = []
-    for b in range(math.isqrt(4 * bound // -D) + 1):
-        s = math.isqrt(4 * bound + D * b * b)
-        lo = 1 if b == 0 or a_positive else -((s + T * b) // 2)
-        elems += [QuadInt(rg, a, b) for a in range(lo, (s - T * b) // 2 + 1)]
-    elems.sort(key=QuadInt.sort_key)
-    yield from elems
 
 
 def _validate(n: int, t: int, bound: int) -> None:

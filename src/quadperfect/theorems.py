@@ -27,18 +27,14 @@ from .errors import (
 )
 from .primes import (
     PrimeClass,
+    _classify,
     _primes_above,
-    classify_rational_prime,
     factor,
     is_prime,
     prime_above,
     valuation,
 )
 from .rings import QuadInt, Ring
-
-# Rings with an element of norm 2, the only place the even-norm machinery
-# applies.
-NORM2_RINGS = (-1, -2, -7)
 
 # The rings each even-norm check id applies to: 2.1 and 2.2 state the d = -1,
 # -2 results, 2.3 and 2.4 the d = -7 ones with their extra congruences.
@@ -111,7 +107,8 @@ class EvenNormDecomposition:
 
 
 def _require_norm2(rg: Ring) -> None:
-    if rg.d not in NORM2_RINGS:
+    # A prime above 2 has norm 2 unless 2 is inert.
+    if _classify(2, rg) is PrimeClass.INERT:
         raise PreconditionFailed(f"no element of norm 2 exists for d={rg.d}")
 
 
@@ -122,8 +119,9 @@ def _require_perfect(z: QuadInt, parity: int) -> None:
     if z.norm() % 2 != parity:
         kind = "even" if parity else "odd"
         raise PreconditionFailed(f"N({z}) = {z.norm()} is {kind}")
-    if not is_powerfully_perfect(2, 2, z):
-        raise PreconditionFailed(f"index(2, {z}) = {abundancy_index(2, z)} != 2")
+    index = abundancy_index(2, z)
+    if index != 2:
+        raise PreconditionFailed(f"index(2, {z}) = {index} != 2")
 
 
 def norm2_prime(rg: Ring) -> QuadInt:
@@ -139,7 +137,7 @@ def decompose_even(z: QuadInt) -> EvenNormDecomposition:
     _require_norm2(rg)
     _require_perfect(z, 0)
     # One norm-2 prime for d = -1, -2; two conjugate ones for d = -7.
-    found = [(xi, g) for xi in _primes_above(2, rg.d) if (g := valuation(xi, z))]
+    found = [(xi, g) for xi in _primes_above(2, rg) if (g := valuation(xi, z))]
     if len(found) > 1:
         gammas = " and ".join(str(g) for _, g in found)
         raise SplitDichotomyViolation(
@@ -174,12 +172,13 @@ def check_mersenne_inert(gamma: int, rg: Ring) -> VerifierReport:
     if gamma < 1:
         raise PreconditionFailed(f"gamma must be >= 1, got {gamma}")
     q = (1 << (gamma + 1)) - 1
+    prime = is_prime(q)
     checks = [
         Check("q_value", f"2^{gamma + 1}-1", str(q), True),
-        Check("q_prime", "prime", "prime" if is_prime(q) else "composite", is_prime(q)),
+        Check("q_prime", "prime", "prime" if prime else "composite", prime),
     ]
-    if is_prime(q):
-        cls = classify_rational_prime(q, rg)
+    if prime:
+        cls = _classify(q, rg)
         checks.append(Check("q_inert", "inert", cls.value, cls is PrimeClass.INERT))
     else:
         checks.append(Check("q_inert", "inert", "q not prime", False))
@@ -274,7 +273,7 @@ def smallest_odd_prime_norms(rg: Ring, count: int) -> list[int]:
         p = 3
         while p <= limit:
             if is_prime(p):
-                cls = classify_rational_prime(p, rg)
+                cls = _classify(p, rg)
                 if cls is PrimeClass.SPLIT:
                     norms.extend((p, p))
                 elif cls is PrimeClass.RAMIFIED:

@@ -28,15 +28,15 @@ from quadperfect import (
     delta,
     delta_naive,
     divisors,
-    int_valuation,
     is_powerfully_perfect,
     is_prime,
     norm2_prime,
     search_odd_norm,
     search_perfect,
-    smallest_odd_prime_norms,
     valuation,
 )
+from quadperfect.primes import int_valuation
+from quadperfect.theorems import smallest_odd_prime_norms
 
 from conftest import ALL_D, NORM2_D, norm_ball_brute, random_elements
 

@@ -4,8 +4,11 @@ the output-file option."""
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +306,16 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2"
+
+    def test_module_entry_point(self):
+        # The python -m path runs from a source checkout with no install.
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadperfect.cli"]
+            + ["index", "--d", "-1", "--elem", "9+3*i"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2\n"

@@ -1,5 +1,5 @@
-"""Sector enumeration, the norm-first search against the raw-lattice
-oracle, frozen search fixtures and the report contract."""
+"""Small balls of the raw-lattice oracle, the norm-first search against
+that oracle, frozen search fixtures and the report contract."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from quadperfect import (
     QuadInt,
     Ring,
     delta_naive,
-    enumerate_canonical,
     is_powerfully_perfect,
     search_odd_norm,
     search_perfect,
@@ -27,33 +26,24 @@ def normalized_json(report) -> dict:
     return obj
 
 
+def ball(rg: Ring, bound: int) -> list[QuadInt]:
+    """The raw-lattice oracle's canonical elements in (norm, a, b) order."""
+    return sorted(norm_ball_brute(rg, bound), key=QuadInt.sort_key)
+
+
 class TestEnumerate:
     def test_small_fixtures(self):
         r1 = Ring(-1)
-        assert list(enumerate_canonical(r1, 2)) == [r1.element(1), r1.element(1, 1)]
+        assert ball(r1, 2) == [r1.element(1), r1.element(1, 1)]
         r3 = Ring(-3)
-        assert list(enumerate_canonical(r3, 1)) == [r3.one()]
+        assert ball(r3, 1) == [r3.one()]
         r7 = Ring(-7)
         # Norm 2 splits, so both conjugate classes appear beside 1.
-        assert list(enumerate_canonical(r7, 2)) == [
+        assert ball(r7, 2) == [
             r7.element(1),
             r7.element(-1, 1),
             r7.element(0, 1),
         ]
-
-    def test_matches_brute_force_ball(self, rg):
-        got = list(enumerate_canonical(rg, 1000))
-        assert len(got) == len(set(got))
-        assert set(got) == norm_ball_brute(rg, 1000)
-        keys = [z.sort_key() for z in got]
-        assert keys == sorted(keys)
-        for z in got[:50]:
-            assert z.in_fundamental_sector()
-            assert 1 <= z.norm() <= 1000
-
-    def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            list(enumerate_canonical(Ring(-1), 0))
 
 
 class TestSearchPerfect:
@@ -212,7 +202,7 @@ class TestOddNormScan:
     def test_scanned_counts_only_odd_norms(self):
         rg = Ring(-1)
         rep = search_odd_norm(rg, 2000)
-        odd = sum(1 for z in enumerate_canonical(rg, 2000) if z.norm() % 2)
+        odd = sum(1 for z in ball(rg, 2000) if z.norm() % 2)
         assert rep.elements_scanned == odd
 
     def test_inert_rings_allowed(self):

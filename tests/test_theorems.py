@@ -25,19 +25,21 @@ from quadperfect import (
     check_prime_count,
     check_structure_bounds,
     conjecture_scan,
-    count_nonassociated_primes,
     decompose_even,
     delta,
     lift_to_3perfect,
     norm2_prime,
-    odd_factorization_shape_report,
     prime_above,
     search_perfect,
-    smallest_odd_prime_norms,
     split_prime_pair,
     valuation,
 )
-from quadperfect.theorems import EvenNormDecomposition
+from quadperfect.theorems import (
+    EvenNormDecomposition,
+    count_nonassociated_primes,
+    odd_factorization_shape_report,
+    smallest_odd_prime_norms,
+)
 
 from conftest import NORM2_D
 
@@ -137,9 +139,7 @@ class TestDecomposeEven:
         r7 = Ring(-7)
         eps, epsbar = split_prime_pair(2, r7)
         z = eps * epsbar * r7.element(1, 2)
-        with mock.patch(
-            "quadperfect.theorems.is_powerfully_perfect", return_value=True
-        ):
+        with mock.patch("quadperfect.theorems._require_perfect"):
             with pytest.raises(SplitDichotomyViolation):
                 decompose_even(z)
 
@@ -381,9 +381,7 @@ class TestLift:
         # Force the perfection precondition with an element whose index is
         # known, then check the asserted output identity is what fires.
         z = Ring(-1).element(3, 0)
-        with mock.patch(
-            "quadperfect.theorems.is_powerfully_perfect", return_value=True
-        ):
+        with mock.patch("quadperfect.theorems._require_perfect"):
             with pytest.raises(AssertionError):
                 lift_to_3perfect(z)  # index(2, 3) != 2, so the lift is not 3
 
