@@ -12,8 +12,8 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .divisor_functions import abundancy_index, delta, divisors
@@ -129,6 +129,9 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, obj) -> None:
+    # Imported here so that only --json output pays for loading json.
+    import json
+
     _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1))
 
 
@@ -163,7 +166,8 @@ def _cmd_delta(args) -> int:
     if args.json:
         obj = {f"delta{args.n}": _rational_str(val)}
         if args.n > 0:
-            idx = abundancy_index(args.n, z)
+            # index(n, z) = delta(n, z) / N(z)^(n/2), from the delta above.
+            idx = Fraction(val, z.norm() ** (args.n // 2))
             obj[f"index{args.n}"] = {
                 "num": str(idx.numerator),
                 "den": str(idx.denominator),
@@ -179,7 +183,7 @@ def _cmd_index(args) -> int:
     idx = abundancy_index(args.n, z)
     if args.json:
         obj = {
-            f"delta{args.n}": _rational_str(delta(args.n, z)),
+            f"delta{args.n}": _rational_str(idx * z.norm() ** (args.n // 2)),
             f"index{args.n}": {
                 "num": str(idx.numerator),
                 "den": str(idx.denominator),

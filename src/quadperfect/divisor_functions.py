@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import OddExponent, TooLarge, ZeroElement
-from .primes import factor, factor_rational
+from .primes import QuadFactorization, factor, factor_rational
 from .rings import QuadInt
 
 NAIVE_NORM_CAP = 10**6
@@ -57,12 +57,17 @@ def divisors(z: QuadInt) -> list[QuadInt]:
     return out
 
 
+def _geo_product(h: int, fac: QuadFactorization) -> int:
+    """delta(2h, z) for h >= 1, from the factorization fac of z."""
+    return math.prod([geo(pi.norm() ** h, e) for pi, e in fac.factors])
+
+
 def delta(n: int, z: QuadInt) -> int | Fraction:
     """Sum of N(x)^(n/2) over the divisor classes x of z, closed form."""
     h = _check_even(n)
     if z.is_zero():
         raise ZeroElement("delta is undefined at zero")
-    total = math.prod([geo(pi.norm() ** abs(h), e) for pi, e in factor(z).factors])
+    total = _geo_product(abs(h), factor(z))
     return total if h > 0 else Fraction(total, z.norm() ** -h)
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import MixedRings, NotPrime, TooLarge, ZeroElement
+from .records import Record
 from .rings import QuadInt, Ring
 
 _TRIAL_BOUND = 10**6
@@ -121,12 +121,12 @@ def _factor_into(n: int, counts: dict[int, int], k: int = 1) -> None:
     _factor_into(n // d, counts, k)
 
 
-@dataclass(frozen=True)
-class IntFactorization:
-    """n = prod p^e with the primes strictly increasing."""
+class IntFactorization(Record):
+    """n = prod p^e with the primes strictly increasing; fields n and
+    factors, a tuple of (p, e) pairs."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "factors")
+    _frozen = True
 
     def __iter__(self):
         return iter(self.factors)
@@ -308,14 +308,13 @@ def _valuation_unchecked(pi: QuadInt, z: QuadInt) -> int:
         e += 1
 
 
-@dataclass(frozen=True)
-class QuadFactorization:
+class QuadFactorization(Record):
     """z = unit * prod prime^exp with sector-canonical primes sorted by
-    (norm, a, b)."""
+    (norm, a, b); fields ring, unit and factors, a tuple of (prime, exp)
+    pairs."""
 
-    ring: Ring
-    unit: QuadInt
-    factors: tuple[tuple[QuadInt, int], ...]
+    __slots__ = ("ring", "unit", "factors")
+    _frozen = True
 
     def value(self) -> QuadInt:
         out = self.unit

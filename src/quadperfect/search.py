@@ -21,25 +21,36 @@ import math
 import time
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 from .divisor_functions import NAIVE_NORM_CAP, delta, delta_naive, geo
 from .primes import PrimeClass, _classify, _iroot, _primes_above
+from .records import Record
 from .rings import QuadInt, Ring
 
 
-@dataclass
-class SearchReport:
-    ring: Ring
-    n: int
-    t: int
-    norm_bound: int
-    hits: list[QuadInt]
-    elements_scanned: int
-    wall_time_ms: int
-    odd_norm: bool = False
-    hit_checks: list = field(default_factory=list)
-    backend: str = "norm"
+class SearchReport(Record):
+    """One search: its ring, n, t and norm bound, the sorted hits, the count
+    of elements examined and the wall time; odd_norm marks an odd-norm
+    search, hit_checks holds the verifier reports run on each hit and
+    backend names the search that ran."""
+
+    __slots__ = (
+        "ring",
+        "n",
+        "t",
+        "norm_bound",
+        "hits",
+        "elements_scanned",
+        "wall_time_ms",
+        "odd_norm",
+        "hit_checks",
+        "backend",
+    )
+    _defaults = {
+        "odd_norm": lambda: False,
+        "hit_checks": list,
+        "backend": lambda: "norm",
+    }
 
     def to_json(self) -> dict:
         return {

@@ -16,9 +16,9 @@ vocabulary for picking a verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
-from .divisor_functions import abundancy_index, delta, geo, is_powerfully_perfect
+from .divisor_functions import _geo_product, abundancy_index, delta, geo
 from .errors import (
     NotPrime,
     PreconditionFailed,
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .primes import (
     PrimeClass,
+    QuadFactorization,
     _classify,
     _primes_above,
     factor,
@@ -34,6 +35,7 @@ from .primes import (
     prime_above,
     valuation,
 )
+from .records import Record
 from .rings import QuadInt, Ring
 
 # The rings each even-norm check id applies to: 2.1 and 2.2 state the d = -1,
@@ -45,12 +47,12 @@ EVEN_CHECK_RINGS = {"2.1": (-1, -2), "2.2": (-1, -2), "2.3": (-7,), "2.4": (-7,)
 PRIME_COUNT_FLOOR = {-1: 5, -2: 5, -7: 11}
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    expected: str
-    actual: str
-    passed: bool
+class Check(Record):
+    """One claim of a verifier: its name, the expected and actual values as
+    text, and whether it passed."""
+
+    __slots__ = ("name", "expected", "actual", "passed")
+    _frozen = True
 
     def to_json(self) -> dict:
         return {
@@ -61,11 +63,10 @@ class Check:
         }
 
 
-@dataclass
-class VerifierReport:
-    theorem: str
-    subject: QuadInt | None
-    checks: list[Check]
+class VerifierReport(Record):
+    """The checks one verifier ran, by check id, on subject (or None)."""
+
+    __slots__ = ("theorem", "subject", "checks")
 
     @property
     def overall(self) -> bool:
@@ -80,19 +81,13 @@ class VerifierReport:
         }
 
 
-@dataclass(frozen=True)
-class EvenNormDecomposition:
+class EvenNormDecomposition(Record):
     """z = xi^gamma * x with N(x) odd, q = 2^(gamma+1) - 1, delta_2(x) =
-    2^(gamma+1) * m, m = q^k * v with q not dividing v."""
+    2^(gamma+1) * m, m = q^k * v with q not dividing v; fields ring, xi,
+    gamma, x, q, m, k, v."""
 
-    ring: Ring
-    xi: QuadInt
-    gamma: int
-    x: QuadInt
-    q: int
-    m: int
-    k: int
-    v: int
+    __slots__ = ("ring", "xi", "gamma", "x", "q", "m", "k", "v")
+    _frozen = True
 
     def to_json(self) -> dict:
         return {
@@ -112,16 +107,24 @@ def _require_norm2(rg: Ring) -> None:
         raise PreconditionFailed(f"no element of norm 2 exists for d={rg.d}")
 
 
-def _require_perfect(z: QuadInt, parity: int) -> None:
-    """z must be 2-powerfully 2-perfect with N(z) = parity mod 2."""
+def _index2(z: QuadInt, fac: QuadFactorization) -> Fraction:
+    """index(2, z) from the factorization fac of z."""
+    return Fraction(_geo_product(1, fac), z.norm())
+
+
+def _require_perfect(z: QuadInt, parity: int) -> QuadFactorization:
+    """z must be 2-powerfully 2-perfect with N(z) = parity mod 2; returns
+    the factorization of z."""
     if z.is_zero():
         raise ZeroElement("the zero element has no abundancy index")
     if z.norm() % 2 != parity:
         kind = "even" if parity else "odd"
         raise PreconditionFailed(f"N({z}) = {z.norm()} is {kind}")
-    index = abundancy_index(2, z)
+    fac = factor(z)
+    index = _index2(z, fac)
     if index != 2:
         raise PreconditionFailed(f"index(2, {z}) = {index} != 2")
+    return fac
 
 
 def norm2_prime(rg: Ring) -> QuadInt:
@@ -239,8 +242,7 @@ def odd_factorization_shape_report(
 def check_odd_structure(z: QuadInt) -> VerifierReport:
     """Factorization shape of an odd-norm 2-powerfully 2-perfect element;
     check id 2.5."""
-    _require_perfect(z, 1)
-    pairs = [(pi.norm(), e) for pi, e in factor(z).factors]
+    pairs = [(pi.norm(), e) for pi, e in _require_perfect(z, 1).factors]
     return odd_factorization_shape_report(pairs, subject=z)
 
 
@@ -252,10 +254,11 @@ def count_nonassociated_primes(z: QuadInt) -> int:
 def check_prime_count(z: QuadInt) -> VerifierReport:
     """Prime-divisor count, with the ring's floor enforced when z is an
     odd-norm 2-powerfully 2-perfect element; check id count."""
-    count = count_nonassociated_primes(z)
+    fac = factor(z)
+    count = len(fac.factors)
     checks = [Check("prime_divisors", "counted", str(count), True)]
     floor = PRIME_COUNT_FLOOR.get(z.ring.d)
-    if floor is not None and z.norm() % 2 == 1 and is_powerfully_perfect(2, 2, z):
+    if floor is not None and z.norm() % 2 == 1 and _index2(z, fac) == 2:
         checks.append(
             Check("prime_divisor_floor", f">= {floor}", str(count), count >= floor)
         )

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from quadperfect import ADMISSIBLE_D, QuadInt, Ring
+from quadperfect import ADMISSIBLE_D, QuadInt, Ring, factor
 
 settings.register_profile(
     "suite",
@@ -27,6 +28,22 @@ NORM2_D = (-1, -2, -7)
 @pytest.fixture(params=ALL_D, ids=lambda d: f"d={d}")
 def rg(request) -> Ring:
     return Ring(request.param)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch) -> list[QuadInt]:
+    """The arguments of every call to factor while the test runs, whichever
+    quadperfect module the caller looked the name up in."""
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return factor(z)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quadperfect" and vars(module).get("factor") is factor:
+            monkeypatch.setattr(module, "factor", counting)
+    return calls
 
 
 def box_elements(rg: Ring, amax: int, bmax: int) -> list[QuadInt]:

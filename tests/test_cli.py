@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -81,6 +82,12 @@ class TestDeltaIndex:
         obj = run_json(capsys, "delta", "--d", "-1", "--elem", "9+3*w")
         assert obj["delta2"] == "180"
         assert obj["index2"] == {"num": "2", "den": "1"}
+
+    @pytest.mark.parametrize("command", ["delta", "index"])
+    def test_json_factors_once(self, capsys, factor_calls, command):
+        obj = run_json(capsys, command, "--d", "-1", "--elem", "9+3*w")
+        assert obj == {"delta2": "180", "index2": {"num": "2", "den": "1"}}
+        assert len(factor_calls) == 1
 
     def test_odd_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -306,6 +313,24 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2"
+
+    def test_console_script_target(self):
+        # What the qp console script runs, without an install: the
+        # module:function target from pyproject.toml, called as the
+        # generated wrapper calls it.
+        root = Path(__file__).resolve().parent.parent
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        target = re.search(r'^qp\s*=\s*"([\w.]+):(\w+)"', pyproject, re.M)
+        module, func = target.groups()
+        wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper, "index", "--d", "-1", "--elem", "9+3*i"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2\n"
 
     def test_module_entry_point(self):
         # The python -m path runs from a source checkout with no install.

@@ -3,12 +3,22 @@ that documents them, and the README's Python tour."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-import quadperfect
+import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import quadperfect
+from quadperfect import Ring
+from quadperfect.primes import IntFactorization, QuadFactorization
+from quadperfect.search import SearchReport
+from quadperfect.theorems import Check, EvenNormDecomposition, VerifierReport
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PUBLIC = {
     "ADMISSIBLE_D",
@@ -63,3 +73,73 @@ def test_readme_python_tour_runs():
     tour = README.read_text(encoding="utf-8").split("## Python tour", 1)[1]
     block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_cli_import_stays_light():
+    # Measured against a bare interpreter with the same flags and path, so
+    # what site preloads does not count.
+    listing = "import sys; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def loaded(prefix: str) -> set[str]:
+        cmd = [sys.executable, "-c", prefix + listing]
+        out = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
+        return set(out.stdout.split())
+
+    added = loaded("import quadperfect.cli; ") - loaded("")
+    assert "quadperfect.cli" in added
+    assert sorted(added & {"dataclasses", "inspect", "ast", "dis", "json"}) == []
+
+
+R = Ring(-1)
+XI = R.element(1, 1)
+# Each record's fields in declaration order, as the library builds it.
+RECORDS = [
+    (IntFactorization, {"n": 12, "factors": ((2, 2), (3, 1))}),
+    (QuadFactorization, {"ring": R, "unit": R.one(), "factors": ((XI, 1),)}),
+    (Check, {"name": "q", "expected": "prime", "actual": "prime", "passed": True}),
+    (VerifierReport, {"theorem": "2.1", "subject": None, "checks": []}),
+    (
+        EvenNormDecomposition,
+        {
+            "ring": R,
+            "xi": XI,
+            "gamma": 1,
+            "x": R.element(6, 3),
+            "q": 3,
+            "m": 15,
+            "k": 1,
+            "v": 5,
+        },
+    ),
+    (
+        SearchReport,
+        {
+            "ring": R,
+            "n": 2,
+            "t": 2,
+            "norm_bound": 100,
+            "hits": [],
+            "elements_scanned": 0,
+            "wall_time_ms": 0,
+        },
+    ),
+]
+FROZEN = {IntFactorization, QuadFactorization, Check, EvenNormDecomposition}
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+def test_record_contract(cls, fields):
+    first = next(iter(fields))
+    for rec in (cls(*fields.values()), cls(**fields)):
+        assert {name: getattr(rec, name) for name in fields} == fields
+        if cls in FROZEN:
+            with pytest.raises(AttributeError):
+                setattr(rec, first, fields[first])
+        else:
+            setattr(rec, first, None)
+            assert getattr(rec, first) is None
+    if cls is SearchReport:
+        a, b = cls(**fields), cls(**fields)
+        assert (a.odd_norm, a.hit_checks, a.backend) == (False, [], "norm")
+        assert a.hit_checks is not b.hit_checks

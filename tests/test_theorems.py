@@ -277,6 +277,14 @@ class TestOddShape:
         with pytest.raises(ZeroElement):
             check_odd_structure(Ring(-1).zero())
 
+    def test_check_odd_structure_factors_once(self, factor_calls):
+        # No odd-norm perfect element is known; force the index check.
+        z = Ring(-1).element(2, 1)  # norm 5, one prime
+        with mock.patch("quadperfect.theorems._index2", return_value=2):
+            rep = check_odd_structure(z)
+        assert len(factor_calls) == 1
+        assert rep.overall
+
     def test_prime_power_delta_parity(self, rg):
         # delta_2 of an odd-norm prime power has parity opposite to the
         # exponent: alpha + 1 odd terms.
@@ -304,6 +312,11 @@ class TestPrimeCount:
         with pytest.raises(ZeroElement):
             count_nonassociated_primes(rg.zero())
 
+    def test_factors_once(self, factor_calls):
+        # Odd norm in a ring with a floor, so the perfection test runs too.
+        check_prime_count(Ring(-1).element(2, 1))
+        assert len(factor_calls) == 1
+
     def test_floor_only_in_odd_perfect_context(self):
         # Even-norm perfect element: counted, no floor applied.
         rep = check_prime_count(Ring(-1).element(9, 3))
@@ -317,9 +330,7 @@ class TestPrimeCount:
         # No genuine odd-norm perfect element is known; force the context
         # check to confirm the floor comparison and its failure report.
         z = Ring(-7).element(1, 2)  # norm 11, one prime
-        with mock.patch(
-            "quadperfect.theorems.is_powerfully_perfect", return_value=True
-        ):
+        with mock.patch("quadperfect.theorems._index2", return_value=2):
             rep = check_prime_count(z)
         named = checks_by_name(rep)
         assert named["prime_divisor_floor"].expected == ">= 11"
