@@ -9,21 +9,20 @@ follows from (r, e - r) and the ramified and inert exponents alone, in exact
 integer arithmetic for any positive even n and any t.  A depth-first walk
 builds the norms from their prime factors, so it visits no other N; the
 last prime of most norms lies above sqrt(bound / m), where m is the rest of
-the norm, and those primes are counted from a sorted array of split primes
-and tested in closed form rather than visited.  Elements are built only for
-the choices that hit, and every hit is re-validated through the naive
-divisor sum before it is reported.
+the norm, and those primes are counted from prime sums (Lucy_Hedgehog's
+recursion, in O(sqrt(bound)) memory) and tested in closed form rather than
+visited.  Elements are built only for the choices that hit, and every hit
+is re-validated through the naive divisor sum before it is reported.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from array import array
-from bisect import bisect_right
+from itertools import accumulate
 
 from .divisor_functions import NAIVE_NORM_CAP, delta, delta_naive, geo
-from .primes import PrimeClass, _classify, _iroot, _primes_above
+from .primes import PrimeClass, _classify, _iroot, _primes_above, is_prime
 from .records import Record
 from .rings import QuadInt, Ring
 
@@ -69,48 +68,55 @@ class SearchReport(Record):
         }
 
 
-# Class codes in the per-scan prime table; 0 marks a non-prime.
-_SPLIT, _INERT, _RAMIFIED = 1, 2, 3
-_CODE = {
-    PrimeClass.SPLIT: _SPLIT,
-    PrimeClass.INERT: _INERT,
-    PrimeClass.RAMIFIED: _RAMIFIED,
-}
-# bytes.translate table that recodes a split prime as inert.
-_TO_INERT = bytes.maketrans(b"\1", b"\2")
+# chi_D(p) by the class of p: 1 + chi_D(p) elements of norm p lie above p.
+_CHI = {PrimeClass.SPLIT: 1, PrimeClass.INERT: -1, PrimeClass.RAMIFIED: 0}
 
 
-def _prime_classes(rg: Ring, bound: int) -> tuple[bytearray, array, list[int]]:
-    """(kinds, split, ramified): kinds[p] is the class code of each prime
-    p <= bound and 0 for every other entry, split is the sorted array of the
-    split primes <= bound and ramified lists the ramified ones."""
-    kinds = bytearray([_SPLIT]) * (bound + 1)
-    kinds[:2] = b"\0\0"
-    for p in range(2, math.isqrt(bound) + 1):
-        if kinds[p]:
-            kinds[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
-    # A prime p > |D| is odd and prime to D, so it has the class of every
-    # prime congruent to it mod |D|: one _classify per residue recodes the
-    # whole residue class.  The primes up to |D| are classified one by one.
+def _prime_counts(rg: Ring, bound: int):
+    """(small, large, primes): small[v] = F(v) for v <= r = isqrt(bound) + 1,
+    large[k] = F(bound // k) for 1 <= k <= bound // (r + 1), and (p, chi_D(p))
+    for the primes p <= r.  F(v) = pi(v) + the sum of chi_D(p) over the
+    primes p <= v is the number of elements of prime norm at most v.
+
+    chi_D is completely multiplicative with period |D|, so both sums follow
+    Lucy_Hedgehog's recursion S(v) -= f(p) * (S(v // p) - S(p - 1)) over
+    the primes p <= sqrt(v), from S(v) = f(2) + ... + f(v), in O(bound^(3/4))
+    steps and O(sqrt(bound)) memory."""
     mod = -rg.D
-    for r in range(1, mod):
-        if math.gcd(r, mod) > 1:
+    # chi_D on one period, from the smallest prime factor p of each j.
+    chi = [0, 1]
+    for j in range(2, mod):
+        p = next(p for p in range(2, j + 1) if j % p == 0)
+        chi.append(_CHI[_classify(p, rg)] * chi[j // p])
+    # chi_D(1) + ... + chi_D(v mod |D|): chi_D sums to 0 over a period.
+    pre = list(accumulate(chi))
+    # One above isqrt(bound): an odd-norm scan reads F(2) at any bound < 4.
+    r = math.isqrt(bound) + 1
+    big = bound // (r + 1)
+    # The sums over 2..v of 1 (s0, l0) and chi_D (s1, l1), by v and by k.
+    s0 = [0, *range(r)]
+    s1 = [0] + [pre[v % mod] - 1 for v in range(1, r + 1)]
+    l0 = [0] + [bound // k - 1 for k in range(1, big + 1)]
+    l1 = [0] + [pre[bound // k % mod] - 1 for k in range(1, big + 1)]
+    primes = []
+    for p in range(2, r + 1):
+        if s0[p] == s0[p - 1]:
             continue
-        q = next((q for q in range(r + mod, bound + 1, mod) if kinds[q]), None)
-        if q is not None and _classify(q, rg) is PrimeClass.INERT:
-            kinds[r + mod :: mod] = kinds[r + mod :: mod].translate(_TO_INERT)
-    ramified = []
-    for p in range(2, min(mod, bound) + 1):
-        if kinds[p]:
-            kinds[p] = _CODE[_classify(p, rg)]
-            if kinds[p] == _RAMIFIED:
-                ramified.append(p)
-    split = array("I")
-    p = kinds.find(_SPLIT)
-    while p >= 0:
-        split.append(p)
-        p = kinds.find(_SPLIT, p + 1)
-    return kinds, split, ramified
+        c = chi[p % mod]
+        primes.append((p, c))
+        kmax = min(big, (bp := bound // p) // p)
+        k1 = min(kmax, big // p)
+        for s, l, f in ((s0, l0, 1), (s1, l1, c)):
+            # Large v first: they read the small sums before p updates them.
+            a = s[p - 1]
+            l[1 : k1 + 1] = [l[k] - f * (l[k * p] - a) for k in range(1, k1 + 1)]
+            l[k1 + 1 : kmax + 1] = [
+                l[k] - f * (s[bp // k] - a) for k in range(k1 + 1, kmax + 1)
+            ]
+            s[p * p :] = [s[v] - f * (s[v // p] - a) for v in range(p * p, r + 1)]
+    small = [a + b for a, b in zip(s0, s1)]
+    large = [a + b for a, b in zip(l0, l1)]
+    return small, large, primes
 
 
 def _elements(rg: Ring, split, fixed, choices) -> list[QuadInt]:
@@ -166,8 +172,8 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool):
     primes p in (max(P(m), sqrt(bound/m)), bound/m] end norms m * p with no
     children; they are counted in bulk and tested in closed form."""
     h = n // 2
-    kinds, split_primes, ramified = _prime_classes(rg, bound)
-    walk = [p for p in range(3 if odd_only else 2, math.isqrt(bound) + 1) if kinds[p]]
+    small, large, primes = _prime_counts(rg, bound)
+    walk = primes[1:] if odd_only else primes  # primes[0] is 2
     hits = []
     scanned = 0
 
@@ -180,10 +186,8 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool):
         lo = max(last, math.isqrt(cap))
         leaves = 0
         if lo < cap:
-            count = bisect_right(split_primes, cap) - bisect_right(split_primes, lo)
-            leaves = 2 * count
-            for p in ramified:
-                leaves += lo < p <= cap
+            # F(cap) - F(lo), with F(bound // m) at large[m].
+            leaves = (large[m] if m < len(large) else small[cap]) - small[lo]
         scanned += mult * (1 + leaves)
         tm = t * m**h
         if tm in deltas:
@@ -195,22 +199,21 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool):
             if den > 0 and v % den == 0:
                 ph = v // den
                 p = _iroot(ph, h)
-                if lo < p <= cap and p**h == ph and kinds[p] in (_SPLIT, _RAMIFIED):
-                    if kinds[p] == _SPLIT:
+                if lo < p <= cap and p**h == ph and is_prime(p):
+                    if (c := _CHI[_classify(p, rg)]) > 0:
                         hit(m * p, split + ((p, 1),), fixed)
-                    else:
+                    elif c == 0:
                         hit(m * p, split, fixed + ((p, 1, p),))
         for j in range(start, len(walk)):
-            p = walk[j]
+            p, c = walk[j]
             if p * p > cap:
                 break
-            kind = kinds[p]
             # The primes above p have norm p, or p^2 when p is inert.
-            q = p * p if kind == _INERT else p
+            q = p * p if c < 0 else p
             qh = q**h
             k, qk = 1, q
             while qk <= cap:
-                if kind == _SPLIT:
+                if c > 0:
                     fs = {geo(qh, r) * geo(qh, k - r) for r in range(k // 2 + 1)}
                     child = mult * (k + 1), split + ((p, k),), fixed
                 else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .divisor_functions import _geo_product, abundancy_index, delta, geo
+from .divisor_functions import _geo_product, abundancy_index, geo
 from .errors import (
     NotPrime,
     PreconditionFailed,
@@ -29,7 +29,6 @@ from .primes import (
     PrimeClass,
     QuadFactorization,
     _classify,
-    _primes_above,
     factor,
     is_prime,
     prime_above,
@@ -138,18 +137,20 @@ def decompose_even(z: QuadInt) -> EvenNormDecomposition:
     power and derive (q, m, k, v)."""
     rg = z.ring
     _require_norm2(rg)
-    _require_perfect(z, 0)
+    fac = _require_perfect(z, 0)
     # One norm-2 prime for d = -1, -2; two conjugate ones for d = -7.
-    found = [(xi, g) for xi in _primes_above(2, rg) if (g := valuation(xi, z))]
+    found = [(pi, e) for pi, e in fac.factors if pi.norm() == 2]
     if len(found) > 1:
         gammas = " and ".join(str(g) for _, g in found)
         raise SplitDichotomyViolation(
             f"both norm-2 primes divide {z}: exponents {gammas}"
         )
     [(xi, gamma)] = found
-    x = z.exact_divide(xi**gamma)
-    assert x is not None and x.norm() % 2 == 1
-    d2x = delta(2, x)
+    # The factors are sorted by norm, so x = z / xi^gamma is the unit times
+    # the odd-norm prime powers that follow xi^gamma.
+    odd = QuadFactorization(rg, fac.unit, fac.factors[1:])
+    x = odd.value()
+    d2x = _geo_product(1, odd)
     q = (1 << (gamma + 1)) - 1
     m, rem = divmod(d2x, 1 << (gamma + 1))
     assert rem == 0, (z, d2x, gamma)
@@ -244,11 +245,6 @@ def check_odd_structure(z: QuadInt) -> VerifierReport:
     check id 2.5."""
     pairs = [(pi.norm(), e) for pi, e in _require_perfect(z, 1).factors]
     return odd_factorization_shape_report(pairs, subject=z)
-
-
-def count_nonassociated_primes(z: QuadInt) -> int:
-    """Number of pairwise non-associated primes dividing z."""
-    return len(factor(z).factors)
 
 
 def check_prime_count(z: QuadInt) -> VerifierReport:

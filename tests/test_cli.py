@@ -206,6 +206,14 @@ class TestVerify:
         assert obj["overall"] is False
         assert obj["decomposition"]["k"] == 0
 
+    @pytest.mark.parametrize(
+        "d,elem,theorem", [("-1", "3+9*i", "2.1"), ("-7", "2+3*w", "2.4")]
+    )
+    def test_factors_once(self, capsys, factor_calls, d, elem, theorem):
+        code, _, err = run(capsys, "verify", "--d", d, "--elem", elem, "--theorem", theorem)
+        assert code == 0, err
+        assert len(factor_calls) == 1
+
     def test_ring_gating(self, capsys):
         code, _, err = run(
             capsys, "verify", "--d", "-7", "--elem", "2+3*w", "--theorem", "2.2"

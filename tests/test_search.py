@@ -3,7 +3,12 @@ that oracle, frozen search fixtures and the report contract."""
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +20,8 @@ from quadperfect import (
     search_odd_norm,
     search_perfect,
 )
-from quadperfect.primes import _iroot
+from quadperfect.primes import PrimeClass, _classify, _iroot, is_prime
+from quadperfect.search import _prime_counts
 
 from conftest import NORM2_D, norm_ball_brute
 
@@ -182,6 +188,56 @@ class TestLatticeOracle:
                 rep = search_perfect(rg, n, t, bound)
             assert rep.hits == [z for z in hits if z.norm() <= bound], bound
             assert rep.elements_scanned == bisect_right(norms, bound), bound
+
+
+class TestPrimeCounts:
+    """_prime_counts against a direct count: F(v) sums 1 + chi_D(p), the
+    number of elements of norm p, over the primes p <= v."""
+
+    CHI = {PrimeClass.SPLIT: 1, PrimeClass.INERT: -1, PrimeClass.RAMIFIED: 0}
+    BOUNDS = [*range(1, 301), 9973, 9999, 10000, 10001, 10403]
+
+    def test_against_direct_count(self, rg):
+        top = max(self.BOUNDS) + 2
+        chi = [0] * (top + 1)
+        F = [0] * (top + 1)
+        for v in range(1, top + 1):
+            if is_prime(v):
+                chi[v] = self.CHI[_classify(v, rg)]
+            F[v] = F[v - 1] + (1 + chi[v] if is_prime(v) else 0)
+        for bound in self.BOUNDS:
+            small, large, primes = _prime_counts(rg, bound)
+            r = math.isqrt(bound) + 1
+            assert small == F[: r + 1], bound
+            # Every v = bound // k above r is held at large[k].
+            assert len(large) == bound // (r + 1) + 1, bound
+            for k in range(1, len(large)):
+                assert large[k] == F[bound // k], (bound, k)
+            assert primes == [(p, chi[p]) for p in range(2, r + 1) if is_prime(p)]
+
+
+def test_search_1e8_fresh_process():
+    # Memory is O(sqrt(bound)): no table of the integers up to the bound.
+    code = (
+        "import resource\n"
+        "from quadperfect import Ring, search_perfect\n"
+        "rep = search_perfect(Ring(-7), 2, 2, 10**8)\n"
+        "print(rep.elements_scanned, *sorted(z.norm() for z in rep.hits))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    ).stdout.split("\n")
+    scanned, *norms = map(int, out[0].split())
+    assert scanned == 118741113
+    assert set(norms) == {28, 8128, 33550336}
+    # ru_maxrss is in KiB on Linux.
+    assert int(out[1]) < 64 * 1024
 
 
 def test_iroot():

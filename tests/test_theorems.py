@@ -27,6 +27,7 @@ from quadperfect import (
     conjecture_scan,
     decompose_even,
     delta,
+    factor,
     lift_to_3perfect,
     norm2_prime,
     prime_above,
@@ -36,7 +37,6 @@ from quadperfect import (
 )
 from quadperfect.theorems import (
     EvenNormDecomposition,
-    count_nonassociated_primes,
     odd_factorization_shape_report,
     smallest_odd_prime_norms,
 )
@@ -139,9 +139,17 @@ class TestDecomposeEven:
         r7 = Ring(-7)
         eps, epsbar = split_prime_pair(2, r7)
         z = eps * epsbar * r7.element(1, 2)
-        with mock.patch("quadperfect.theorems._require_perfect"):
+        with mock.patch(
+            "quadperfect.theorems._require_perfect", return_value=factor(z)
+        ):
             with pytest.raises(SplitDichotomyViolation):
                 decompose_even(z)
+
+    @pytest.mark.parametrize("d,a,b", [(-1, 3, 9), (-2, 2, 1), (-7, 82, 13)])
+    def test_factors_once(self, factor_calls, d, a, b):
+        dec = decompose_even(Ring(d).element(a, b))
+        assert dec.xi**dec.gamma * dec.x == Ring(d).element(a, b)
+        assert len(factor_calls) == 1
 
     def test_json(self):
         obj = decompose_even(Ring(-1).element(3, 9)).to_json()
@@ -306,11 +314,11 @@ class TestOddShape:
 class TestPrimeCount:
     def test_count(self):
         rg = Ring(-1)
-        assert count_nonassociated_primes(rg.element(9, 3)) == 3
-        assert count_nonassociated_primes(rg.element(30, 30)) == 4
-        assert count_nonassociated_primes(rg.element(7, 0)) == 1
+        for z, count in [((9, 3), 3), ((30, 30), 4), ((7, 0), 1)]:
+            rep = check_prime_count(rg.element(*z))
+            assert checks_by_name(rep)["prime_divisors"].actual == str(count)
         with pytest.raises(ZeroElement):
-            count_nonassociated_primes(rg.zero())
+            check_prime_count(rg.zero())
 
     def test_factors_once(self, factor_calls):
         # Odd norm in a ring with a floor, so the perfection test runs too.
@@ -419,6 +427,13 @@ class TestConjectureScan:
             ("k[-2+1*w]", "0"),
             ("k[2+1*w]", "0"),
         ]
+
+    def test_factors_once_per_hit(self, factor_calls):
+        # The search's revalidation and _require_perfect factor each hit
+        # once; decompose_even reuses the factorization.
+        rep = conjecture_scan(Ring(-7), 10**4)
+        assert len(rep.checks) == 6
+        assert len(factor_calls) == 12
 
     def test_d7_counterexamples_reported(self):
         rep = conjecture_scan(Ring(-7), 10**4)
