@@ -210,7 +210,8 @@ class TestVerify:
         "d,elem,theorem", [("-1", "3+9*i", "2.1"), ("-7", "2+3*w", "2.4")]
     )
     def test_factors_once(self, capsys, factor_calls, d, elem, theorem):
-        code, _, err = run(capsys, "verify", "--d", d, "--elem", elem, "--theorem", theorem)
+        argv = ["verify", "--d", d, "--elem", elem, "--theorem", theorem]
+        code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert len(factor_calls) == 1
 

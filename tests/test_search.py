@@ -202,9 +202,10 @@ class TestPrimeCounts:
         chi = [0] * (top + 1)
         F = [0] * (top + 1)
         for v in range(1, top + 1):
+            F[v] = F[v - 1]
             if is_prime(v):
                 chi[v] = self.CHI[_classify(v, rg)]
-            F[v] = F[v - 1] + (1 + chi[v] if is_prime(v) else 0)
+                F[v] += 1 + chi[v]
         for bound in self.BOUNDS:
             small, large, primes = _prime_counts(rg, bound)
             r = math.isqrt(bound) + 1
