@@ -3,10 +3,17 @@
 Subcommands: factor, delta, index, divisors, classify, search, verify,
 conjecture.  Elements are written in the grammar <int>[(+|-)<uint>*w]
 (with i accepted for w when d=-1); --json switches every subcommand to a
-stable, key-sorted JSON rendering with large integers as decimal strings.
+stable, key-sorted JSON rendering.  In it the delta and index values, the
+divisor norms and the expected/actual texts of checks are decimal strings;
+every other number (coordinates, factor norms, exponents, counts,
+decomposition invariants) is an exact JSON integer, which a reader that
+parses numbers as 53-bit floats must read as a big integer.
 Exit codes: 0 on success (an empty search is a success), 2 on usage
 errors and on inputs beyond a safety cap (TooLarge), 1 on computation
 errors.
+
+Each subcommand returns (obj, lines): the object --json writes and the
+lines of the text rendering; main renders one of them.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from fractions import Fraction
 from . import __version__
 from .divisor_functions import abundancy_index, delta, divisors
 from .errors import PreconditionFailed, TooLarge
-from .primes import classify_rational_prime, factor, is_prime
+from .primes import classify_rational_prime, factor
 from .rings import ADMISSIBLE_D, QuadInt, Ring, parse_element
 from .search import search_odd_norm, search_perfect
 from .theorems import (
@@ -57,82 +64,10 @@ def _int_arg(flag: str, ok, rule: str):
 
 _d_arg = _int_arg("--d", ADMISSIBLE_D.__contains__, f"one of {ADMISSIBLE_D}")
 _n_arg = _int_arg("--n", lambda n: n and n % 2 == 0, "a nonzero even integer, got {}")
+_index_n_arg = _int_arg(
+    "--n", lambda n: n > 0 and n % 2 == 0, "a positive even integer, got {}"
+)
 _t_arg = _int_arg("--t", lambda t: t >= 2, ">= 2, got {}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qp",
-        description="Exact divisor sums and perfect-element searches in the "
-        "nine imaginary quadratic rings with unique factorization.",
-    )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"qp {__version__}",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, elem=False, n=False, t=False, bound=False):
-        p.add_argument("--d", type=_d_arg, required=True, help="ring discriminant")
-        if elem:
-            p.add_argument("--elem", required=True, help="element, e.g. 3+9*w")
-        if n:
-            p.add_argument("--n", type=_n_arg, default=2, help="even exponent")
-        if t:
-            p.add_argument("--t", type=_t_arg, default=2, help="target index")
-        if bound:
-            p.add_argument("--bound", type=int, required=True, help="norm bound")
-            p.add_argument(
-                "--force",
-                action="store_true",
-                help=f"allow bounds above {BOUND_GUARD}",
-            )
-        p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--out", help="write output to this file instead of stdout")
-
-    common(sub.add_parser("factor", help="unique factorization"), elem=True)
-    common(sub.add_parser("delta", help="norm-power divisor sum"), elem=True, n=True)
-    common(sub.add_parser("index", help="abundancy index"), elem=True, n=True)
-    common(sub.add_parser("divisors", help="divisor classes"), elem=True)
-    common(sub.add_parser("classify", help="ramified/split/inert"), elem=True)
-    common(
-        sub.add_parser("search", help="perfect-element search"),
-        n=True,
-        t=True,
-        bound=True,
-    )
-    sub.choices["search"].add_argument(
-        "--odd-norm",
-        action="store_true",
-        help="restrict to odd norms (forces n=2, t=2) and verify hits",
-    )
-    ver = sub.add_parser("verify", help="structural checks")
-    common(ver, elem=True)
-    ver.add_argument("--theorem", required=True, choices=THEOREM_IDS, help="check id")
-    common(sub.add_parser("conjecture", help="k=1 scan"), bound=True)
-    return parser
-
-
-def _rational_str(x) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, obj) -> None:
-    # Imported here so that only --json output pays for loading json.
-    import json
-
-    _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1))
 
 
 def _parse_elem(args) -> QuadInt:
@@ -148,85 +83,45 @@ def _report_text(rep) -> list[str]:
     return lines
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args):
     fac = factor(_parse_elem(args))
-    if args.json:
-        _emit_json(args, fac.to_json())
-        return 0
     lines = [f"unit: {fac.unit}"]
     for pi, e in fac.factors:
         lines.append(f"  {str(pi):12s} exp {e}  norm {pi.norm()}")
-    _emit(args, "\n".join(lines))
-    return 0
+    return fac.to_json(), lines
 
 
-def _cmd_delta(args) -> int:
+def _cmd_delta_index(args):
     z = _parse_elem(args)
-    val = delta(args.n, z)
-    if args.json:
-        obj = {f"delta{args.n}": _rational_str(val)}
-        if args.n > 0:
-            # index(n, z) = delta(n, z) / N(z)^(n/2), from the delta above.
-            idx = Fraction(val, z.norm() ** (args.n // 2))
-            obj[f"index{args.n}"] = {
-                "num": str(idx.numerator),
-                "den": str(idx.denominator),
-            }
-        _emit_json(args, obj)
-        return 0
-    _emit(args, _rational_str(val))
-    return 0
+    n = args.n
+    val = delta(n, z)
+    obj = {f"delta{n}": str(val)}
+    if n > 0:
+        # index(n, z) = delta(n, z) / N(z)^(n/2), from the delta above.
+        idx = Fraction(val, z.norm() ** (n // 2))
+        obj[f"index{n}"] = {"num": str(idx.numerator), "den": str(idx.denominator)}
+    return obj, [str(val if args.command == "delta" else idx)]
 
 
-def _cmd_index(args) -> int:
-    z = _parse_elem(args)
-    idx = abundancy_index(args.n, z)
-    if args.json:
-        obj = {
-            f"delta{args.n}": _rational_str(idx * z.norm() ** (args.n // 2)),
-            f"index{args.n}": {
-                "num": str(idx.numerator),
-                "den": str(idx.denominator),
-            },
-        }
-        _emit_json(args, obj)
-        return 0
-    _emit(args, _rational_str(idx))
-    return 0
-
-
-def _cmd_divisors(args) -> int:
+def _cmd_divisors(args):
     divs = divisors(_parse_elem(args))
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "count": len(divs),
-                "divisors": [x.to_json() for x in divs],
-                "norms": [str(x.norm()) for x in divs],
-            },
-        )
-        return 0
+    obj = {
+        "count": len(divs),
+        "divisors": [x.to_json() for x in divs],
+        "norms": [str(x.norm()) for x in divs],
+    }
     lines = [f"{len(divs)} divisor classes:"]
     for x in divs:
         lines.append(f"  {str(x):12s} norm {x.norm()}")
-    _emit(args, "\n".join(lines))
-    return 0
+    return obj, lines
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     z = _parse_elem(args)
-    if z.b != 0 or z.a < 2:
+    if z.b != 0:
         raise ValueError(f"classify expects a rational prime, got {z}")
-    p = z.a
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    cls = classify_rational_prime(p, Ring(args.d))
-    if args.json:
-        _emit_json(args, {"p": p, "d": args.d, "class": cls.value})
-    else:
-        _emit(args, cls.value)
-    return 0
+    cls = classify_rational_prime(z.a, Ring(args.d))
+    return {"p": z.a, "d": args.d, "class": cls.value}, [cls.value]
 
 
 def _check_bound(args) -> None:
@@ -236,16 +131,13 @@ def _check_bound(args) -> None:
         )
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     _check_bound(args)
     rg = Ring(args.d)
     if args.odd_norm:
         rep = search_odd_norm(rg, args.bound)
     else:
         rep = search_perfect(rg, args.n, args.t, args.bound)
-    if args.json:
-        _emit_json(args, rep.to_json())
-        return 0
     lines = [
         f"ring d={rg.d}  n={rep.n}  t={rep.t}  bound={rep.norm_bound}"
         + ("  odd-norm" if rep.odd_norm else ""),
@@ -259,17 +151,16 @@ def _cmd_search(args) -> int:
         for r in reps:
             lines.append(f"checks [{r.theorem}] on {z}:")
             lines.extend(_report_text(r))
-    _emit(args, "\n".join(lines))
-    return 0
+    return rep.to_json(), lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     z = _parse_elem(args)
     rg = z.ring
     tid = args.theorem
     if tid in EVEN_CHECK_RINGS and rg.d not in EVEN_CHECK_RINGS[tid]:
         raise PreconditionFailed(f"check {tid} applies to d in {EVEN_CHECK_RINGS[tid]}")
-    body: dict = {}
+    obj: dict = {}
     lines: list[str] = []
     if tid in ("2.1", "2.2", "2.3", "2.4"):
         dec = decompose_even(z)
@@ -277,7 +168,7 @@ def _cmd_verify(args) -> int:
             rep = check_mersenne_inert(dec.gamma, rg)
         else:
             rep = check_structure_bounds(dec)
-        body["decomposition"] = dec.to_json()
+        obj["decomposition"] = dec.to_json()
         lines.append(
             f"decomposition: xi={dec.xi} gamma={dec.gamma} x={dec.x} "
             f"q={dec.q} m={dec.m} k={dec.k} v={dec.v}"
@@ -289,46 +180,73 @@ def _cmd_verify(args) -> int:
     else:
         w = lift_to_3perfect(z)
         rep = VerifierReport(
-            "lift",
-            z,
-            [Check("lifted_index", "3", _rational_str(abundancy_index(2, w)), True)],
+            "lift", z, [Check("lifted_index", "3", str(abundancy_index(2, w)), True)]
         )
-        body["lifted"] = w.to_json()
+        obj["lifted"] = w.to_json()
         lines.append(f"lifted: {w}")
-    if args.json:
-        body.update(rep.to_json())
-        _emit_json(args, body)
-        return 0
-    lines.insert(0, f"check {rep.theorem} on {z} (d={rg.d})")
-    lines.extend(_report_text(rep))
-    _emit(args, "\n".join(lines))
-    return 0
+    obj.update(rep.to_json())
+    return obj, [f"check {rep.theorem} on {z} (d={rg.d})"] + lines + _report_text(rep)
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args):
     _check_bound(args)
     rep = conjecture_scan(Ring(args.d), args.bound)
-    if args.json:
-        obj = rep.to_json()
-        obj["norm_bound"] = args.bound
-        _emit_json(args, obj)
-        return 0
-    lines = [f"conjecture scan d={args.d} bound={args.bound}"]
-    lines.extend(_report_text(rep))
-    _emit(args, "\n".join(lines))
-    return 0
+    obj = rep.to_json()
+    obj["norm_bound"] = args.bound
+    return obj, [f"conjecture scan d={args.d} bound={args.bound}"] + _report_text(rep)
 
 
-_COMMANDS = {
-    "factor": _cmd_factor,
-    "delta": _cmd_delta,
-    "index": _cmd_index,
-    "divisors": _cmd_divisors,
-    "classify": _cmd_classify,
-    "search": _cmd_search,
-    "verify": _cmd_verify,
-    "conjecture": _cmd_conjecture,
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qp",
+        description="Exact divisor sums and perfect-element searches in the "
+        "nine imaginary quadratic rings with unique factorization.",
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"qp {__version__}",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(name, help, run, elem=False, n=None, t=False, bound=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--d", type=_d_arg, required=True, help="ring discriminant")
+        if elem:
+            p.add_argument("--elem", required=True, help="element, e.g. 3+9*w")
+        if n:
+            p.add_argument("--n", type=n, default=2, help="even exponent")
+        if t:
+            p.add_argument("--t", type=_t_arg, default=2, help="target index")
+        if bound:
+            p.add_argument("--bound", type=int, required=True, help="norm bound")
+            p.add_argument(
+                "--force",
+                action="store_true",
+                help=f"allow bounds above {BOUND_GUARD}",
+            )
+        p.add_argument("--json", action="store_true", help="JSON output")
+        p.add_argument("--out", help="write output to this file instead of stdout")
+        return p
+
+    common("factor", "unique factorization", _cmd_factor, elem=True)
+    common("delta", "norm-power divisor sum", _cmd_delta_index, elem=True, n=_n_arg)
+    common("index", "abundancy index", _cmd_delta_index, elem=True, n=_index_n_arg)
+    common("divisors", "divisor classes", _cmd_divisors, elem=True)
+    common("classify", "ramified/split/inert", _cmd_classify, elem=True)
+    search = common(
+        "search", "perfect-element search", _cmd_search, n=_n_arg, t=True, bound=True
+    )
+    search.add_argument(
+        "--odd-norm",
+        action="store_true",
+        help="restrict to odd norms (forces n=2, t=2) and verify hits",
+    )
+    ver = common("verify", "structural checks", _cmd_verify, elem=True)
+    ver.add_argument("--theorem", required=True, choices=THEOREM_IDS, help="check id")
+    common("conjecture", "k=1 scan", _cmd_conjecture, bound=True)
+    return parser
 
 
 def _attach_elem(argv: list[str]) -> list[str]:
@@ -350,10 +268,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_elem(sys.argv[1:] if argv is None else argv))
     try:
-        return _COMMANDS[args.command](args)
+        obj, lines = args.run(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"qp: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, TooLarge) else 1
+    if args.json:
+        # Imported here so that only --json output pays for loading json.
+        import json
+
+        text = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    else:
+        text = "\n".join(lines)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
+    return 0
 
 
 if __name__ == "__main__":

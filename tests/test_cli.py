@@ -94,6 +94,13 @@ class TestDeltaIndex:
             main(["delta", "--d", "-1", "--elem", "3", "--n", "3"])
         assert exc.value.code == 2
 
+    def test_index_negative_n_is_usage_error(self, capsys):
+        # delta takes n = -2 (see test_delta_negative_n); index does not.
+        with pytest.raises(SystemExit) as exc:
+            main(["index", "--d", "-1", "--elem", "9+3*w", "--n", "-2"])
+        assert exc.value.code == 2
+        assert "positive even" in capsys.readouterr().err
+
 
 class TestDivisorsClassify:
     def test_divisors(self, capsys):
@@ -111,11 +118,10 @@ class TestDivisorsClassify:
         assert obj == {"class": "split", "d": -2, "p": 11}
 
     def test_classify_rejects_nonprime(self, capsys):
-        code, _, err = run(capsys, "classify", "--d", "-1", "--elem", "12")
-        assert code == 1
-        code, _, err = run(capsys, "classify", "--d", "-1", "--elem", "2+1*w")
-        assert code == 1
-
+        for elem in ("12", "2+1*w", "0", "1", "-5"):
+            code, out, err = run(capsys, "classify", "--d", "-1", "--elem", elem)
+            assert (code, out) == (1, ""), elem
+            assert "qp: error" in err
 
     def test_classify_beyond_witness_range(self, capsys):
         code, out, err = run(capsys, "classify", "--d", "-1", f"--elem={2**89 - 1}")
@@ -275,15 +281,33 @@ class TestConjecture:
         assert code == 1
 
 
+ONE_PER_SUBCOMMAND = [
+    ["factor", "--d", "-1", "--elem", "9+3*w"],
+    ["delta", "--d", "-1", "--elem", "9+3*w"],
+    ["index", "--d", "-1", "--elem", "9+3*w"],
+    ["divisors", "--d", "-1", "--elem", "9+3*w"],
+    ["classify", "--d", "-2", "--elem", "11"],
+    ["search", "--d", "-1", "--bound", "100"],
+    ["verify", "--d", "-1", "--elem", "3+9*w", "--theorem", "2.2"],
+    ["conjecture", "--d", "-2", "--bound", "100"],
+]
+
+
+def mask_wall_time(text: str) -> str:
+    text = re.sub(r"in \d+ ms", "in N ms", text)
+    return re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": N', text)
+
+
 class TestPlumbing:
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        code = main(
-            ["index", "--d", "-1", "--elem", "9+3*w", "--json", "--out", str(target)]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("argv", ONE_PER_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_out_file(self, capsys, tmp_path, argv, fmt):
+        code, printed, err = run(capsys, *argv, *fmt)
+        assert code == 0, err
+        target = tmp_path / "report"
+        assert main([*argv, *fmt, "--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
-        assert json.loads(target.read_text())["index2"]["num"] == "2"
+        assert mask_wall_time(target.read_text()) == mask_wall_time(printed)
 
     def test_json_is_key_sorted(self, capsys):
         code, out, _ = run(capsys, "classify", "--d", "-2", "--elem", "3", "--json")

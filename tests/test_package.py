@@ -1,10 +1,11 @@
 """The package surface: the names quadperfect exports, the README table
-that documents them, and the README's Python tour."""
+that documents them, and the README's Python tour and console examples."""
 
 from __future__ import annotations
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import quadperfect
-from quadperfect import Ring
+from quadperfect import Ring, cli
 from quadperfect.primes import IntFactorization, QuadFactorization
 from quadperfect.search import SearchReport
 from quadperfect.theorems import Check, EvenNormDecomposition, VerifierReport
@@ -73,6 +74,28 @@ def test_readme_python_tour_runs():
     tour = README.read_text(encoding="utf-8").split("## Python tour", 1)[1]
     block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
     exec(compile(block, str(README), "exec"), {})
+
+
+def readme_console_examples() -> list:
+    """Each "$ qp ..." line of the README's console blocks, with the
+    output printed under it, as a pytest param named by the command."""
+    text = README.read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"```console\n(.*?)```", text, re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            output = output.rstrip("\n") + "\n"
+            examples.append(pytest.param(command, output, id=command))
+    return examples
+
+
+@pytest.mark.parametrize("command,expected", readme_console_examples())
+def test_readme_console_examples(capsys, command, expected):
+    argv = shlex.split(command)
+    assert argv[0] == "qp"
+    assert cli.main(argv[1:]) == 0
+    masked = re.sub(r"in \d+ ms", "in N ms", capsys.readouterr().out)
+    assert masked == re.sub(r"in \d+ ms", "in N ms", expected)
 
 
 def test_cli_import_stays_light():
