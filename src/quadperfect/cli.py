@@ -41,7 +41,7 @@ from .theorems import (
     lift_to_3perfect,
 )
 
-BOUND_GUARD = 10**8
+BOUND_GUARD = 10**10
 
 THEOREM_IDS = ("2.1", "2.2", "2.3", "2.4", "2.5", "count", "lift")
 
@@ -68,6 +68,7 @@ _index_n_arg = _int_arg(
     "--n", lambda n: n > 0 and n % 2 == 0, "a positive even integer, got {}"
 )
 _t_arg = _int_arg("--t", lambda t: t >= 2, ">= 2, got {}")
+_bound_arg = _int_arg("--bound", lambda b: b >= 1, ">= 1, got {}")
 
 
 def _parse_elem(args) -> QuadInt:
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         if t:
             p.add_argument("--t", type=_t_arg, default=2, help="target index")
         if bound:
-            p.add_argument("--bound", type=int, required=True, help="norm bound")
+            p.add_argument("--bound", type=_bound_arg, required=True, help="norm bound")
             p.add_argument(
                 "--force",
                 action="store_true",

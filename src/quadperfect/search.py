@@ -1,25 +1,24 @@
 """Norm-bounded exhaustive search for n-powerfully t-perfect elements.
 
-The search runs over norms, not lattice points.  N is a norm exactly when
-each inert prime divides it to an even power, and the canonical elements of
-norm N match one-to-one the ways to share each split exponent e between the
-two conjugate primes above p as (r, e - r).  Because delta(n, z) is a
-product of geometric sums over z's prime factorization, each choice's delta
-follows from (r, e - r) and the ramified and inert exponents alone, in exact
-integer arithmetic for any positive even n and any t.  A depth-first walk
-builds the norms from their prime factors, so it visits no other N; the
-last prime of most norms lies above sqrt(bound / m), where m is the rest of
-the norm, and those primes are counted from prime sums (Lucy_Hedgehog's
-recursion, in O(sqrt(bound)) memory) and tested in closed form rather than
-visited.  Elements are built only for the choices that hit, and every hit
-is re-validated through the naive divisor sum before it is reported.
+The search runs over norms, not lattice points, and counts apart from
+finding.  The canonical elements of norm N are its ideals, so they are
+counted in closed form.  N is a norm exactly when each inert prime divides
+it to an even power, and the canonical elements of norm N match one-to-one
+the ways to share each split exponent e between the two conjugate primes
+above p as (r, e - r).  Because delta(n, z) is a product of geometric sums
+over z's prime factorization, each choice's delta follows from (r, e - r)
+and the ramified and inert exponents alone, in exact integer arithmetic.
+A depth-first walk builds the norms from their prime factors and prunes
+every subtree where no index can reach t.  Elements are built only for the
+choices that hit, and every hit is re-validated through the naive divisor
+sum before it is reported.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .divisor_functions import NAIVE_NORM_CAP, delta, delta_naive, geo
 from .primes import PrimeClass, _classify, _iroot, _primes_above, is_prime
@@ -72,51 +71,38 @@ class SearchReport(Record):
 _CHI = {PrimeClass.SPLIT: 1, PrimeClass.INERT: -1, PrimeClass.RAMIFIED: 0}
 
 
-def _prime_counts(rg: Ring, bound: int):
-    """(small, large, primes): small[v] = F(v) for v <= r = isqrt(bound) + 1,
-    large[k] = F(bound // k) for 1 <= k <= bound // (r + 1), and (p, chi_D(p))
-    for the primes p <= r.  F(v) = pi(v) + the sum of chi_D(p) over the
-    primes p <= v is the number of elements of prime norm at most v.
-
-    chi_D is completely multiplicative with period |D|, so both sums follow
-    Lucy_Hedgehog's recursion S(v) -= f(p) * (S(v // p) - S(p - 1)) over
-    the primes p <= sqrt(v), from S(v) = f(2) + ... + f(v), in O(bound^(3/4))
-    steps and O(sqrt(bound)) memory."""
-    mod = -rg.D
-    # chi_D on one period, from the smallest prime factor p of each j.
+def _element_count(rg: Ring, bound: int, odd_only: bool) -> int:
+    """The number of canonical elements of norm at most bound, odd norms
+    only if odd_only.  Each is one ideal, and sum_{b | N} chi(b) ideals
+    have norm N, so the count is the sum of chi(b) over a * b <= bound, with
+    a and b odd if odd_only.  With u = isqrt(bound), A(x) the number of a
+    <= x and X(x) = chi(1) + ... + chi(x), the hyperbola method gives it as
+    sum_{k <= u} (chi(k) A(bound // k) + X(bound // k)) - A(u) X(u)."""
+    step = 2 if odd_only else 1
+    # chi = chi_D, times 1 on odd j if odd_only, on one period, from the
+    # smallest prime factor p of each j; chi sums to 0 over the period.
+    mod = -rg.D * step
     chi = [0, 1]
     for j in range(2, mod):
         p = next(p for p in range(2, j + 1) if j % p == 0)
-        chi.append(_CHI[_classify(p, rg)] * chi[j // p])
-    # chi_D(1) + ... + chi_D(v mod |D|): chi_D sums to 0 over a period.
+        chi.append(0 if odd_only and p == 2 else _CHI[_classify(p, rg)] * chi[j // p])
     pre = list(accumulate(chi))
-    # One above isqrt(bound): an odd-norm scan reads F(2) at any bound < 4.
-    r = math.isqrt(bound) + 1
-    big = bound // (r + 1)
-    # The sums over 2..v of 1 (s0, l0) and chi_D (s1, l1), by v and by k.
-    s0 = [0, *range(r)]
-    s1 = [0] + [pre[v % mod] - 1 for v in range(1, r + 1)]
-    l0 = [0] + [bound // k - 1 for k in range(1, big + 1)]
-    l1 = [0] + [pre[bound // k % mod] - 1 for k in range(1, big + 1)]
-    primes = []
-    for p in range(2, r + 1):
-        if s0[p] == s0[p - 1]:
-            continue
-        c = chi[p % mod]
-        primes.append((p, c))
-        kmax = min(big, (bp := bound // p) // p)
-        k1 = min(kmax, big // p)
-        for s, l, f in ((s0, l0, 1), (s1, l1, c)):
-            # Large v first: they read the small sums before p updates them.
-            a = s[p - 1]
-            l[1 : k1 + 1] = [l[k] - f * (l[k * p] - a) for k in range(1, k1 + 1)]
-            l[k1 + 1 : kmax + 1] = [
-                l[k] - f * (s[bp // k] - a) for k in range(k1 + 1, kmax + 1)
-            ]
-            s[p * p :] = [s[v] - f * (s[v // p] - a) for v in range(p * p, r + 1)]
-    small = [a + b for a, b in zip(s0, s1)]
-    large = [a + b for a, b in zip(l0, l1)]
-    return small, large, primes
+    u = math.isqrt(bound)
+    # A(x) = ceil(x / step) counts the a <= x, odd if odd_only.
+    total = 0
+    for k in range(1, u + 1, step):
+        v = bound // k
+        total += chi[k % mod] * ((v + step - 1) // step) + pre[v % mod]
+    return total - (u + step - 1) // step * pre[u % mod]
+
+
+def _primes_chi(rg: Ring, r: int) -> list[tuple[int, int]]:
+    """(p, chi_D(p)) for the primes p <= r, by the sieve of Eratosthenes."""
+    sieve = bytearray(2) + bytearray([1]) * (r - 1)
+    for p in range(2, math.isqrt(r) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, r + 1, p)))
+    return [(p, _CHI[_classify(p, rg)]) for p in compress(range(r + 1), sieve)]
 
 
 def _elements(rg: Ring, split, fixed, choices) -> list[QuadInt]:
@@ -160,53 +146,65 @@ def _choices(N: int, split, fixed, h: int, t: int) -> list[tuple[int, ...]]:
     return [rs for rs, rest in partial if rest == 1]
 
 
-def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool):
-    """Hits (unsorted) and the count of elements examined.
+def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[QuadInt]:
+    """The hits, unsorted.
 
     A depth-first walk over norms m * p^e, primes in increasing order, that
     opens a child only where m * p^2 <= bound; an inert prime enters with
     even exponents only, so every node is a norm.  Each node carries its
     split (p, e) and fixed (p, k, q) factors (the prime above p occurs to
-    the power k and has norm q), its count of canonical elements and the
-    set of their delta values.  With P(m) the largest prime factor of m, the
-    primes p in (max(P(m), sqrt(bound/m)), bound/m] end norms m * p with no
-    children; they are counted in bulk and tested in closed form."""
+    the power k and has norm q) and the delta values of its elements.  Its
+    descendants add primes p >= s, one above the largest prime of m (s = 2
+    at the root, or 3 in an odd-norm scan).  Those above sqrt(bound / m)
+    end norms m * p with no children and are tested in closed form.
+
+    Pruning.  Going from m to m * M multiplies an element's index v / m^h
+    by its cofactor's, a product of ratios geo(q^h, k) / q^(hk), k >= 1,
+    each in (1, q^h / (q^h - 1)); a prime power p^e of M gives at most
+    min(e, 2) <= e of them, with q = p, or p^2 for inert p, so q >= s.  M
+    has at most w = floor(log_s(bound / m)) prime factors, so a descendant
+    can hit only through a v with v < t * m^h < v * (s^h / (s^h - 1))^w.
+    Each node keeps only those v and returns when none is left.  The child
+    loop stops at the first p where max(v) fails the test with s = p; the
+    bound falls as p grows, so no later child can hit either."""
     h = n // 2
-    small, large, primes = _prime_counts(rg, bound)
-    walk = primes[1:] if odd_only else primes  # primes[0] is 2
+    walk = _primes_chi(rg, math.isqrt(bound))[odd_only:]  # odd norms: no 2
     hits = []
-    scanned = 0
 
     def hit(N, split, fixed):
         hits.extend(_elements(rg, split, fixed, _choices(N, split, fixed, h, t)))
 
-    def visit(m, last, start, deltas, mult, split, fixed):
-        nonlocal scanned
+    def visit(m, s, start, deltas, w, split, fixed):
+        # w is at least floor(log_s(cap)) on entry: the parent's value.
         cap = bound // m
-        lo = max(last, math.isqrt(cap))
-        leaves = 0
-        if lo < cap:
-            # F(cap) - F(lo), with F(bound // m) at large[m].
-            leaves = (large[m] if m < len(large) else small[cap]) - small[lo]
-        scanned += mult * (1 + leaves)
         tm = t * m**h
         if tm in deltas:
             hit(m, split, fixed)
+        while s**w > cap:
+            w -= 1
+        lo, hi = tm * (s**h - 1) ** w, s ** (h * w)
+        deltas = [v for v in deltas if lo < v * hi and v < tm]
+        if not deltas:
+            return
         # A leaf prime p multiplies each delta value v of m by 1 + p^h, and
         # v * (1 + p^h) = t * (m * p)^h solves to p^h = v / (t * m^h - v).
+        plo = max(s - 1, math.isqrt(cap))
         for v in deltas:
-            den = tm - v
-            if den > 0 and v % den == 0:
-                ph = v // den
+            ph, rem = divmod(v, tm - v)
+            if not rem:
                 p = _iroot(ph, h)
-                if lo < p <= cap and p**h == ph and is_prime(p):
+                if plo < p <= cap and p**h == ph and is_prime(p):
                     if (c := _CHI[_classify(p, rg)]) > 0:
                         hit(m * p, split + ((p, 1),), fixed)
                     elif c == 0:
                         hit(m * p, split, fixed + ((p, 1, p),))
+        top = max(deltas)
         for j in range(start, len(walk)):
             p, c = walk[j]
-            if p * p > cap:
+            while p**w > cap:
+                w -= 1
+            ph = p**h
+            if w < 2 or top * ph**w <= tm * (ph - 1) ** w:
                 break
             # The primes above p have norm p, or p^2 when p is inert.
             q = p * p if c < 0 else p
@@ -215,16 +213,17 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool):
             while qk <= cap:
                 if c > 0:
                     fs = {geo(qh, r) * geo(qh, k - r) for r in range(k // 2 + 1)}
-                    child = mult * (k + 1), split + ((p, k),), fixed
+                    child = split + ((p, k),), fixed
                 else:
                     fs = (geo(qh, k),)
-                    child = mult, split, fixed + ((p, k, q),)
-                visit(m * qk, p, j + 1, {v * f for v in deltas for f in fs}, *child)
+                    child = split, fixed + ((p, k, q),)
+                vs = {v * f for v in deltas for f in fs}
+                visit(m * qk, p + 1, j + 1, vs, w, *child)
                 k, qk = k + 1, qk * q
 
-    # An odd-norm scan keeps 2 out of both the walk and the leaves.
-    visit(1, 2 if odd_only else 1, 0, {1}, 1, (), ())
-    return hits, scanned
+    # s = 3 keeps 2 out of an odd-norm scan's leaves.
+    visit(1, 3 if odd_only else 2, 0, {1}, bound.bit_length(), (), ())
+    return hits
 
 
 def _validate(n: int, t: int, bound: int) -> None:
@@ -251,7 +250,7 @@ def _revalidate(z: QuadInt, n: int, t: int) -> None:
 
 def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchReport:
     start = time.perf_counter_ns()
-    hits, scanned = _scan(rg, n, t, bound, odd_only)
+    hits = _scan(rg, n, t, bound, odd_only)
     hits.sort(key=QuadInt.sort_key)
     for z in hits:
         _revalidate(z, n, t)
@@ -262,7 +261,7 @@ def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchRep
         t=t,
         norm_bound=bound,
         hits=hits,
-        elements_scanned=scanned,
+        elements_scanned=_element_count(rg, bound, odd_only),
         wall_time_ms=elapsed_ms,
         odd_norm=odd_only,
     )

@@ -162,12 +162,12 @@ class TestSearch:
         assert a == b
 
     def test_bound_guard(self, capsys):
-        code, _, err = run(capsys, "search", "--d", "-1", "--bound", "200000000")
+        code, _, err = run(capsys, "search", "--d", "-1", "--bound", "20000000000")
         assert code == 1
         assert "--force" in err
 
     def test_force_accepted(self, capsys):
-        # The guard only fires above 10^8; --force is legal on any bound.
+        # The guard only fires above 10^10; --force is legal on any bound.
         code, out, _ = run(capsys, "search", "--d", "-1", "--bound", "50", "--force")
         assert code == 0
 
@@ -180,6 +180,20 @@ class TestSearch:
         with pytest.raises(SystemExit) as exc:
             main(["search", "--d", "-5", "--bound", "10"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--d", "-1", "--bound", "0"],
+            ["search", "--d", "-1", "--bound", "-5"],
+            ["conjecture", "--d", "-1", "--bound", "-3"],
+        ],
+    )
+    def test_bound_below_one_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--bound must be >= 1" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -3,7 +3,7 @@ that oracle, frozen search fixtures and the report contract."""
 
 from __future__ import annotations
 
-import math
+import functools
 import os
 import subprocess
 import sys
@@ -15,13 +15,14 @@ import pytest
 from quadperfect import (
     QuadInt,
     Ring,
+    delta,
     delta_naive,
     is_powerfully_perfect,
     search_odd_norm,
     search_perfect,
 )
 from quadperfect.primes import PrimeClass, _classify, _iroot, is_prime
-from quadperfect.search import _prime_counts
+from quadperfect.search import _element_count, _primes_chi
 
 from conftest import NORM2_D, norm_ball_brute
 
@@ -190,41 +191,82 @@ class TestLatticeOracle:
             assert rep.elements_scanned == bisect_right(norms, bound), bound
 
 
-class TestPrimeCounts:
-    """_prime_counts against a direct count: F(v) sums 1 + chi_D(p), the
-    number of elements of norm p, over the primes p <= v."""
+@functools.cache
+def delta_table(d: int) -> list[tuple[QuadInt, int, int]]:
+    """(z, delta(2, z), delta(4, z)) over the raw-lattice ball of norm
+    <= 3000, in (norm, a, b) order."""
+    return [(z, delta(2, z), delta(4, z)) for z in ball(Ring(d), 3000)]
+
+
+class TestCountAndWalk:
+    """The closed-form element count, the walk's prime list, its pruning
+    bound and its hits, each against a direct computation."""
 
     CHI = {PrimeClass.SPLIT: 1, PrimeClass.INERT: -1, PrimeClass.RAMIFIED: 0}
-    BOUNDS = [*range(1, 301), 9973, 9999, 10000, 10001, 10403]
 
-    def test_against_direct_count(self, rg):
-        top = max(self.BOUNDS) + 2
-        chi = [0] * (top + 1)
-        F = [0] * (top + 1)
-        for v in range(1, top + 1):
-            F[v] = F[v - 1]
-            if is_prime(v):
-                chi[v] = self.CHI[_classify(v, rg)]
-                F[v] += 1 + chi[v]
-        for bound in self.BOUNDS:
-            small, large, primes = _prime_counts(rg, bound)
-            r = math.isqrt(bound) + 1
-            assert small == F[: r + 1], bound
-            # Every v = bound // k above r is held at large[k].
-            assert len(large) == bound // (r + 1) + 1, bound
-            for k in range(1, len(large)):
-                assert large[k] == F[bound // k], (bound, k)
-            assert primes == [(p, chi[p]) for p in range(2, r + 1) if is_prime(p)]
+    def test_element_count(self, rg):
+        norms = [z.norm() for z, _, _ in delta_table(rg.d)]
+        odd = [N for N in norms if N % 2]
+        for bound in [*range(1, 401), 2999, 3000]:
+            assert _element_count(rg, bound, False) == bisect_right(norms, bound)
+            assert _element_count(rg, bound, True) == bisect_right(odd, bound)
+
+    def test_primes_chi(self, rg):
+        for r in [*range(1, 201), 10001]:
+            expect = [
+                (p, self.CHI[_classify(p, rg)])
+                for p in range(2, r + 1)
+                if is_prime(p)
+            ]
+            assert _primes_chi(rg, r) == expect, r
+
+    def test_pruning_bound(self, rg):
+        # An element y of norm 1 < M <= 2000 whose primes are all >= s has
+        # 1 < delta(2h, y) / M^h < (s^h / (s^h - 1))^w for w = floor(log_s(M)),
+        # the least w that any cap >= M gives.
+        for z, *deltas in delta_table(rg.d):
+            M = z.norm()
+            if not 1 < M <= 2000:
+                continue
+            least = next(p for p in range(2, M + 1) if M % p == 0)
+            for h, dv in zip((1, 2), deltas):
+                assert dv > M**h, z
+                for s in range(2, min(30, least) + 1):
+                    w = 0
+                    while s ** (w + 1) <= M:
+                        w += 1
+                    assert dv * (s**h - 1) ** w < M**h * s ** (h * w), (z, s, h)
+
+    @pytest.mark.parametrize(
+        "n,t,odd_only",
+        [(2, 2, False), (2, 3, False), (2, 4, False), (4, 2, False), (2, 2, True)],
+    )
+    def test_hits_at_3000(self, rg, n, t, odd_only):
+        hits = [
+            z
+            for z, *deltas in delta_table(rg.d)
+            if deltas[n // 2 - 1] == t * z.norm() ** (n // 2)
+            and (z.norm() % 2 or not odd_only)
+        ]
+        if odd_only:
+            rep = search_odd_norm(rg, 3000)
+        else:
+            rep = search_perfect(rg, n, t, 3000)
+        assert rep.hits == hits
 
 
-def test_search_1e8_fresh_process():
-    # Memory is O(sqrt(bound)): no table of the integers up to the bound.
+def run_fresh(d: int, bound: int) -> tuple[int, set[int], int]:
+    """search_perfect(Ring(d), 2, 2, bound) in a fresh interpreter: the
+    elements scanned, the hit norms and the child's peak RSS in KiB.
+
+    The peak is VmHWM, not ru_maxrss: Linux carries the ru_maxrss of the
+    process that forks the child across exec, so a child of the test
+    runner reports at least the runner's own peak."""
     code = (
-        "import resource\n"
         "from quadperfect import Ring, search_perfect\n"
-        "rep = search_perfect(Ring(-7), 2, 2, 10**8)\n"
+        f"rep = search_perfect(Ring({d}), 2, 2, {bound})\n"
         "print(rep.elements_scanned, *sorted(z.norm() for z in rep.hits))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(next(s for s in open('/proc/self/status') if 'VmHWM' in s))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
@@ -235,10 +277,24 @@ def test_search_1e8_fresh_process():
         check=True,
     ).stdout.split("\n")
     scanned, *norms = map(int, out[0].split())
+    return scanned, set(norms), int(out[1].split()[1])
+
+
+def test_search_1e8_fresh_process():
+    # Memory is O(sqrt(bound)): no table of the integers up to the bound.
+    scanned, norms, peak = run_fresh(-7, 10**8)
     assert scanned == 118741113
-    assert set(norms) == {28, 8128, 33550336}
-    # ru_maxrss is in KiB on Linux.
-    assert int(out[1]) < 64 * 1024
+    assert norms == {28, 8128, 33550336}
+    assert peak < 64 * 1024
+
+
+def test_search_1e10_fresh_process():
+    # The count is closed-form and the walk is pruned, so 10^10, the CLI's
+    # guard, is in reach in a small process.
+    scanned, norms, peak = run_fresh(-7, 10**10)
+    assert scanned == 11874103774
+    assert norms == {28, 8128, 33550336}
+    assert peak < 32 * 1024
 
 
 def test_iroot():
