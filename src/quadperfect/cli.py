@@ -3,9 +3,9 @@
 Subcommands: factor, delta, index, divisors, classify, search, verify,
 conjecture.  Elements are written in the grammar <int>[(+|-)<uint>*w]
 (with i accepted for w when d=-1); --json switches every subcommand to a
-stable, key-sorted JSON rendering.  In it the delta and index values, the
-divisor norms and the expected/actual texts of checks are decimal strings;
-every other number (coordinates, factor norms, exponents, counts,
+stable, key-sorted JSON rendering.  In it the delta and index values and
+the expected/actual texts of checks are decimal strings; every other
+number (coordinates, factor and divisor norms, exponents, counts,
 decomposition invariants) is an exact JSON integer, which a reader that
 parses numbers as 53-bit floats must read as a big integer.
 Exit codes: 0 on success (an empty search is a success), 2 on usage
@@ -109,7 +109,7 @@ def _cmd_divisors(args):
     obj = {
         "count": len(divs),
         "divisors": [x.to_json() for x in divs],
-        "norms": [str(x.norm()) for x in divs],
+        "norms": [x.norm() for x in divs],
     }
     lines = [f"{len(divs)} divisor classes:"]
     for x in divs:

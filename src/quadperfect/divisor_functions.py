@@ -12,7 +12,6 @@ closed form honest.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -37,22 +36,28 @@ def _check_even(n: int) -> int:
     return n // 2
 
 
-def divisors(z: QuadInt) -> list[QuadInt]:
+def divisors(z: QuadInt, fac: QuadFactorization | None = None) -> list[QuadInt]:
     """One sector-canonical divisor per associate class, sorted by
-    (norm, a, b)."""
-    fac = factor(z)
+    (norm, a, b).  fac, when given, is factor(z).
+
+    The list grows prime by prime: for pi^e it gains the earlier divisors
+    times pi, pi^2, ..., pi^e, so each divisor costs one product.  The
+    associates are taken once, at the end."""
+    if fac is None:
+        fac = factor(z)
     count = 1
     for _, e in fac.factors:
         count *= e + 1
         if count > DIVISOR_COUNT_CAP:
             raise TooLarge(f"more than {DIVISOR_COUNT_CAP} divisor classes")
-    out = []
-    ranges = [range(e + 1) for _, e in fac.factors]
-    for exps in itertools.product(*ranges):
-        x = z.ring.one()
-        for (pi, _), j in zip(fac.factors, exps):
-            x = x * pi**j
-        out.append(x.canonical_associate())
+    out = [z.ring.one()]
+    for pi, e in fac.factors:
+        layer = out
+        out = list(out)
+        for _ in range(e):
+            layer = [x * pi for x in layer]
+            out += layer
+    out = [x.canonical_associate() for x in out]
     out.sort(key=QuadInt.sort_key)
     return out
 
@@ -71,16 +76,19 @@ def delta(n: int, z: QuadInt) -> int | Fraction:
     return total if h > 0 else Fraction(total, z.norm() ** -h)
 
 
-def delta_naive(n: int, z: QuadInt) -> int | Fraction:
-    """Same sum over an explicit divisor list; the oracle for delta."""
+def delta_naive(
+    n: int, z: QuadInt, fac: QuadFactorization | None = None
+) -> int | Fraction:
+    """Same sum over an explicit divisor list; the oracle for delta.  fac,
+    when given, is factor(z)."""
     h = _check_even(n)
     if z.is_zero():
         raise ZeroElement("delta is undefined at zero")
     if z.norm() > NAIVE_NORM_CAP:
         raise TooLarge(f"naive divisor sum capped at norm {NAIVE_NORM_CAP}")
     if h > 0:
-        return sum(x.norm() ** h for x in divisors(z))
-    return sum(Fraction(1, x.norm() ** -h) for x in divisors(z))
+        return sum(x.norm() ** h for x in divisors(z, fac))
+    return sum(Fraction(1, x.norm() ** -h) for x in divisors(z, fac))
 
 
 def abundancy_index(n: int, z: QuadInt) -> Fraction:

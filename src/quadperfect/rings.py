@@ -220,9 +220,27 @@ class QuadInt:
         return self.b > 0 or (self.b == 0 and self.a > 0)
 
     def canonical_associate(self) -> "QuadInt":
+        """The associate in the fundamental sector, read off the signs of
+        (a, b) where the units are +-1 or the powers of i."""
+        a, b, rg = self.a, self.b, self.ring
+        if rg.d == -1:
+            # Multiplying by i maps a + b*i to -b + a*i, a quarter turn.
+            if a > 0 and b >= 0:
+                return self
+            if b > 0:  # a <= 0: times -i
+                return QuadInt(rg, b, -a)
+            if a < 0:  # b <= 0: times -1
+                return QuadInt(rg, -a, -b)
+            if b < 0:  # a >= 0: times i
+                return QuadInt(rg, -b, a)
+        elif rg.d != -3:
+            if b > 0 or (b == 0 and a > 0):
+                return self
+            if a or b:
+                return QuadInt(rg, -a, -b)
         if self.is_zero():
             raise ZeroElement("the zero element has no canonical associate")
-        for u in self.ring.units():
+        for u in rg.units():
             cand = u * self
             if cand.in_fundamental_sector():
                 return cand

@@ -20,8 +20,16 @@ import math
 import time
 from itertools import accumulate, compress
 
-from .divisor_functions import NAIVE_NORM_CAP, delta, delta_naive, geo
-from .primes import PrimeClass, _classify, _iroot, _primes_above, is_prime
+from .divisor_functions import NAIVE_NORM_CAP, _geo_product, delta_naive, geo
+from .primes import (
+    PrimeClass,
+    QuadFactorization,
+    _classify,
+    _iroot,
+    _primes_above,
+    factor,
+    is_prime,
+)
 from .records import Record
 from .rings import QuadInt, Ring
 
@@ -29,8 +37,9 @@ from .rings import QuadInt, Ring
 class SearchReport(Record):
     """One search: its ring, n, t and norm bound, the sorted hits, the count
     of elements examined and the wall time; odd_norm marks an odd-norm
-    search, hit_checks holds the verifier reports run on each hit and
-    backend names the search that ran."""
+    search, hit_checks holds the verifier reports run on each hit,
+    backend names the search that ran and hit_factors holds each hit's
+    factorization from its revalidation (not part of the JSON)."""
 
     __slots__ = (
         "ring",
@@ -43,11 +52,13 @@ class SearchReport(Record):
         "odd_norm",
         "hit_checks",
         "backend",
+        "hit_factors",
     )
     _defaults = {
         "odd_norm": lambda: False,
         "hit_checks": list,
         "backend": lambda: "norm",
+        "hit_factors": list,
     }
 
     def to_json(self) -> dict:
@@ -156,7 +167,10 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[QuadInt]
     the power k and has norm q) and the delta values of its elements.  Its
     descendants add primes p >= s, one above the largest prime of m (s = 2
     at the root, or 3 in an odd-norm scan).  Those above sqrt(bound / m)
-    end norms m * p with no children and are tested in closed form.
+    end norms m * p with no children and are tested in closed form.  The
+    steps through p (q^k, the factors the delta values gain, the factor
+    entry) do not depend on the node, so each is built once per scan, the
+    first time a node reaches p.
 
     Pruning.  Going from m to m * M multiplies an element's index v / m^h
     by its cofactor's, a product of ratios geo(q^h, k) / q^(hk), k >= 1,
@@ -170,6 +184,24 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[QuadInt]
     h = n // 2
     walk = _primes_chi(rg, math.isqrt(bound))[odd_only:]  # odd norms: no 2
     hits = []
+    steps = {}  # p -> step_table(p, c), filled as the walk reaches p
+
+    def step_table(p, c):
+        # The steps from a node to its children through p, up to q^k <=
+        # bound: q^k, the delta factors and the split or fixed part.  The
+        # primes above p have norm q = p, or p^2 when p is inert.
+        q = p * p if c < 0 else p
+        qh = q**h
+        table = []
+        k, qk = 1, q
+        while qk <= bound:
+            if c > 0:
+                fs = {geo(qh, r) * geo(qh, k - r) for r in range(k // 2 + 1)}
+                table.append((qk, fs, ((p, k),), ()))
+            else:
+                table.append((qk, (geo(qh, k),), (), ((p, k, q),)))
+            k, qk = k + 1, qk * q
+        return table
 
     def hit(N, split, fixed):
         hits.extend(_elements(rg, split, fixed, _choices(N, split, fixed, h, t)))
@@ -206,20 +238,13 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[QuadInt]
             ph = p**h
             if w < 2 or top * ph**w <= tm * (ph - 1) ** w:
                 break
-            # The primes above p have norm p, or p^2 when p is inert.
-            q = p * p if c < 0 else p
-            qh = q**h
-            k, qk = 1, q
-            while qk <= cap:
-                if c > 0:
-                    fs = {geo(qh, r) * geo(qh, k - r) for r in range(k // 2 + 1)}
-                    child = split + ((p, k),), fixed
-                else:
-                    fs = (geo(qh, k),)
-                    child = split, fixed + ((p, k, q),)
+            if (table := steps.get(p)) is None:
+                table = steps[p] = step_table(p, c)
+            for qk, fs, sp, fx in table:
+                if qk > cap:
+                    break
                 vs = {v * f for v in deltas for f in fs}
-                visit(m * qk, p + 1, j + 1, vs, w, *child)
-                k, qk = k + 1, qk * q
+                visit(m * qk, p + 1, j + 1, vs, w, split + sp, fixed + fx)
 
     # s = 3 keeps 2 out of an odd-norm scan's leaves.
     visit(1, 3 if odd_only else 2, 0, {1}, bound.bit_length(), (), ())
@@ -235,25 +260,26 @@ def _validate(n: int, t: int, bound: int) -> None:
         raise ValueError(f"bound must be >= 1, got {bound}")
 
 
-def _revalidate(z: QuadInt, n: int, t: int) -> None:
+def _revalidate(z: QuadInt, n: int, t: int) -> QuadFactorization:
     # Hits are rare; check each against a path independent of the scan that
     # produced it.  The naive divisor sum is capped, so fall back to the
-    # exact closed form above the cap.
+    # exact closed form above the cap.  Returns z's factorization.
+    fac = factor(z)
     nz = z.norm()
     if nz <= NAIVE_NORM_CAP:
-        good = delta_naive(n, z) == t * nz ** (n // 2)
+        good = delta_naive(n, z, fac) == t * nz ** (n // 2)
     else:
-        good = delta(n, z) == t * nz ** (n // 2)
+        good = _geo_product(n // 2, fac) == t * nz ** (n // 2)
     if not good:
         raise AssertionError(f"norm search reported a false hit: {z}")
+    return fac
 
 
 def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchReport:
     start = time.perf_counter_ns()
     hits = _scan(rg, n, t, bound, odd_only)
     hits.sort(key=QuadInt.sort_key)
-    for z in hits:
-        _revalidate(z, n, t)
+    factors = [_revalidate(z, n, t) for z in hits]
     elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
     return SearchReport(
         ring=rg,
@@ -264,6 +290,7 @@ def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchRep
         elements_scanned=_element_count(rg, bound, odd_only),
         wall_time_ms=elapsed_ms,
         odd_norm=odd_only,
+        hit_factors=factors,
     )
 
 

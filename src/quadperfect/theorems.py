@@ -111,15 +111,18 @@ def _index2(z: QuadInt, fac: QuadFactorization) -> Fraction:
     return Fraction(_geo_product(1, fac), z.norm())
 
 
-def _require_perfect(z: QuadInt, parity: int) -> QuadFactorization:
+def _require_perfect(
+    z: QuadInt, parity: int, fac: QuadFactorization | None = None
+) -> QuadFactorization:
     """z must be 2-powerfully 2-perfect with N(z) = parity mod 2; returns
-    the factorization of z."""
+    the factorization of z, which is fac when given."""
     if z.is_zero():
         raise ZeroElement("the zero element has no abundancy index")
     if z.norm() % 2 != parity:
         kind = "even" if parity else "odd"
         raise PreconditionFailed(f"N({z}) = {z.norm()} is {kind}")
-    fac = factor(z)
+    if fac is None:
+        fac = factor(z)
     index = _index2(z, fac)
     if index != 2:
         raise PreconditionFailed(f"index(2, {z}) = {index} != 2")
@@ -132,12 +135,14 @@ def norm2_prime(rg: Ring) -> QuadInt:
     return prime_above(2, rg)
 
 
-def decompose_even(z: QuadInt) -> EvenNormDecomposition:
+def decompose_even(
+    z: QuadInt, fac: QuadFactorization | None = None
+) -> EvenNormDecomposition:
     """Split an even-norm 2-powerfully 2-perfect z off its norm-2 prime
-    power and derive (q, m, k, v)."""
+    power and derive (q, m, k, v).  fac, when given, is factor(z)."""
     rg = z.ring
     _require_norm2(rg)
-    fac = _require_perfect(z, 0)
+    fac = _require_perfect(z, 0, fac)
     # One norm-2 prime for d = -1, -2; two conjugate ones for d = -7.
     found = [(pi, e) for pi, e in fac.factors if pi.norm() == 2]
     if len(found) > 1:
@@ -304,9 +309,9 @@ def conjecture_scan(rg: Ring, bound: int) -> VerifierReport:
     _require_norm2(rg)
     report = search_perfect(rg, 2, 2, bound)
     checks = []
-    for z in report.hits:
+    for z, fac in zip(report.hits, report.hit_factors):
         if z.norm() % 2 == 0:
-            dec = decompose_even(z)
+            dec = decompose_even(z, fac)
             checks.append(Check(f"k[{z}]", "1", str(dec.k), dec.k == 1))
     if not checks:
         checks.append(

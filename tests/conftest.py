@@ -3,6 +3,7 @@ oracles, and deterministic element generators."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -56,9 +57,9 @@ def box_elements(rg: Ring, amax: int, bmax: int) -> list[QuadInt]:
     return out
 
 
-def norm_ball_brute(rg: Ring, bound: int) -> set[QuadInt]:
-    """Canonical representatives with 1 <= N <= bound, by reducing a raw
-    coordinate box that provably covers the ball.
+def norm_ball_elements(rg: Ring, bound: int) -> list[QuadInt]:
+    """Every element with 1 <= N <= bound, from a raw coordinate box that
+    provably covers the ball.
 
     Plain basis: N = a^2 + |d| b^2, so |a| <= sqrt(bound) and
     |b| <= sqrt(bound/|d|).  Half-integer basis: 4N = (2a+b)^2 + |d| b^2,
@@ -66,11 +67,36 @@ def norm_ball_brute(rg: Ring, bound: int) -> set[QuadInt]:
     """
     amax = math.isqrt(bound) + 1
     bmax = math.isqrt(4 * bound // -rg.d) + 1
-    reps = set()
-    for z in box_elements(rg, amax + bmax, bmax):
-        if 1 <= z.norm() <= bound:
-            reps.add(z.canonical_associate())
-    return reps
+    return [z for z in box_elements(rg, amax + bmax, bmax) if z.norm() <= bound]
+
+
+def norm_ball_brute(rg: Ring, bound: int) -> set[QuadInt]:
+    """Canonical representatives with 1 <= N <= bound."""
+    return {z.canonical_associate() for z in norm_ball_elements(rg, bound)}
+
+
+def canonical_by_units(z: QuadInt) -> QuadInt:
+    """Oracle for canonical_associate: the first unit multiple of z that
+    lands in the fundamental sector."""
+    for u in z.ring.units():
+        if (cand := u * z).in_fundamental_sector():
+            return cand
+    raise AssertionError(f"no associate of {z!r} lies in the sector")
+
+
+def divisors_by_product(z: QuadInt) -> list[QuadInt]:
+    """Oracle for divisors: one product of prime powers pi^j, 0 <= j <= e,
+    per exponent vector, each taken to its canonical associate by
+    canonical_by_units, sorted by (norm, a, b)."""
+    fac = factor(z).factors
+    out = []
+    for exps in itertools.product(*[range(e + 1) for _, e in fac]):
+        x = z.ring.one()
+        for (pi, _), j in zip(fac, exps):
+            x = x * pi**j
+        out.append(canonical_by_units(x))
+    out.sort(key=QuadInt.sort_key)
+    return out
 
 
 def random_elements(rg: Ring, count: int, coord: int, seed: int) -> list[QuadInt]:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +13,18 @@ from pathlib import Path
 import pytest
 
 from quadperfect.cli import main
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def qp_target() -> tuple[str, str]:
+    """The module and function of the [project.scripts] qp entry in
+    pyproject.toml."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^qp\s*=\s*"([\w.]+):(\w+)"', pyproject, re.M)
+    return target.groups()
 
 
 def run(capsys, *argv):
@@ -106,7 +117,7 @@ class TestDivisorsClassify:
     def test_divisors(self, capsys):
         obj = run_json(capsys, "divisors", "--d", "-1", "--elem", "9+3*w")
         assert obj["count"] == 8
-        assert obj["norms"] == ["1", "2", "5", "9", "10", "18", "45", "90"]
+        assert obj["norms"] == [1, 2, 5, 9, 10, 18, 45, 90]
 
     def test_classify(self, capsys):
         for d, expect in (("-1", "ramified"), ("-7", "split"), ("-3", "inert")):
@@ -351,43 +362,53 @@ class TestPlumbing:
             z = Ring(h["d"]).element(h["a"], h["b"])
             assert parse_element(z.ring, str(z)) == z
 
-    @pytest.mark.skipif(shutil.which("qp") is None, reason="qp not on PATH")
-    def test_console_script(self):
+    def test_console_script(self, tmp_path):
+        # The qp script an installer writes for the pyproject.toml target,
+        # run by path in a fresh interpreter against the source tree.
+        module, func = qp_target()
+        script = tmp_path / "qp"
+        script.write_text(
+            f"#!{sys.executable}\n"
+            "import re, sys\n"
+            f"from {module} import {func}\n"
+            "if __name__ == '__main__':\n"
+            "    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])\n"
+            f"    sys.exit({func}())\n",
+            encoding="utf-8",
+        )
+        script.chmod(0o755)
         proc = subprocess.run(
-            ["qp", "index", "--d", "-1", "--elem", "9+3*i", "--n", "2"],
+            [str(script), "index", "--d", "-1", "--elem", "9+3*i", "--n", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
         )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "2"
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2\n"
 
     def test_console_script_target(self):
         # What the qp console script runs, without an install: the
         # module:function target from pyproject.toml, called as the
         # generated wrapper calls it.
-        root = Path(__file__).resolve().parent.parent
-        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
-        target = re.search(r'^qp\s*=\s*"([\w.]+):(\w+)"', pyproject, re.M)
-        module, func = target.groups()
+        module, func = qp_target()
         wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
         proc = subprocess.run(
             [sys.executable, "-c", wrapper, "index", "--d", "-1", "--elem", "9+3*i"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "2\n"
 
     def test_module_entry_point(self):
         # The python -m path runs from a source checkout with no install.
-        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "quadperfect.cli"]
             + ["index", "--d", "-1", "--elem", "9+3*i"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "2\n"

@@ -28,7 +28,7 @@ from quadperfect import (
 )
 from quadperfect.divisor_functions import NAIVE_NORM_CAP
 
-from conftest import norm_ball_brute, random_elements
+from conftest import divisors_by_product, norm_ball_brute, random_elements
 
 
 class TestDivisors:
@@ -53,6 +53,11 @@ class TestDivisors:
             for x in divs:
                 assert x.in_fundamental_sector()
                 assert z.exact_divide(x) is not None
+
+    def test_matches_product_oracle(self, rg):
+        # Associates have the same divisor list, so one element per class.
+        for z in norm_ball_brute(rg, 2000):
+            assert divisors(z) == divisors_by_product(z), z
 
     def test_prime_has_two_classes(self):
         assert len(divisors(Ring(-19).element(2))) == 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from quadperfect import MixedRings, Ring, ZeroElement, parse_element
 
-from conftest import ALL_D, box_elements
+from conftest import ALL_D, box_elements, canonical_by_units, norm_ball_elements
 
 coords = st.integers(min_value=-10**6, max_value=10**6)
 d_values = st.sampled_from(ALL_D)
@@ -172,6 +172,10 @@ class TestFundamentalSector:
             assert c.is_associated(z)
             assert c.canonical_associate() == c
             assert c.norm() == z.norm()
+
+    def test_canonical_matches_unit_loop(self, rg):
+        for z in norm_ball_elements(rg, 2000):
+            assert z.canonical_associate() == canonical_by_units(z), z
 
     def test_zero_has_no_sector(self, rg):
         with pytest.raises(ZeroElement):

@@ -429,11 +429,11 @@ class TestConjectureScan:
         ]
 
     def test_factors_once_per_hit(self, factor_calls):
-        # The search's revalidation and _require_perfect factor each hit
-        # once; decompose_even reuses the factorization.
+        # The search's revalidation factors each hit once; decompose_even
+        # reuses that factorization.
         rep = conjecture_scan(Ring(-7), 10**4)
         assert len(rep.checks) == 6
-        assert len(factor_calls) == 12
+        assert len(factor_calls) == 6
 
     def test_d7_counterexamples_reported(self):
         rep = conjecture_scan(Ring(-7), 10**4)
