@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import OddExponent, TooLarge, ZeroElement
+from .errors import OddExponent, TooLarge, ZeroElement, require_ints
 from .primes import QuadFactorization, factor, factor_rational
 from .rings import QuadInt
 
@@ -29,6 +29,7 @@ def geo(q: int, k: int) -> int:
 
 
 def _check_even(n: int) -> int:
+    require_ints(n=n)
     if n % 2:
         raise OddExponent(f"exponent must be even, got {n}")
     if n == 0:
@@ -111,6 +112,7 @@ def is_powerfully_perfect(n: int, t: int, z: QuadInt) -> bool:
 def sigma(k: int, n: int) -> int | Fraction:
     """Classical divisor power sum over positive integers: sum of c^k over
     the positive divisors c of n."""
+    require_ints(k=k, n=n)
     if k == 0:
         raise ValueError("exponent must be nonzero")
     if n < 1:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer-argument check shared across the
+package."""
 
 
 class MixedRings(ValueError):
@@ -28,3 +29,11 @@ class PreconditionFailed(ValueError):
 class SplitDichotomyViolation(ArithmeticError):
     """Both conjugate norm-2 primes divide an element whose even-norm
     decomposition requires exactly one of them to."""
+
+
+def require_ints(**values) -> None:
+    """Raise TypeError naming the first of values that is not an int, so a
+    float never reaches the exact arithmetic."""
+    for name, x in values.items():
+        if not isinstance(x, int):
+            raise TypeError(f"{name} must be an integer, got {x!r}")

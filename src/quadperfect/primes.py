@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import MixedRings, NotPrime, TooLarge, ZeroElement
+from .errors import MixedRings, NotPrime, TooLarge, ZeroElement, require_ints
 from .records import Record
 from .rings import QuadInt, Ring
 
@@ -134,6 +134,7 @@ class IntFactorization(Record):
 
 def factor_rational(n: int) -> IntFactorization:
     """Complete prime factorization of a positive integer."""
+    require_ints(n=n)
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
     orig = n

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import MixedRings, ZeroElement
+from .errors import MixedRings, ZeroElement, require_ints
 
 # The nine imaginary quadratic fields whose integers factor uniquely.
 ADMISSIBLE_D = (-163, -67, -43, -19, -11, -7, -3, -2, -1)
@@ -32,6 +32,8 @@ class Ring:
     _cache: dict[int, "Ring"] = {}
 
     def __new__(cls, d: int) -> "Ring":
+        # -7.0 == -7 would otherwise find, or fill, the cache slot of Ring(-7).
+        require_ints(d=d)
         if d in cls._cache:
             return cls._cache[d]
         if d not in ADMISSIBLE_D:
@@ -59,6 +61,7 @@ class Ring:
         return self._units
 
     def element(self, a: int, b: int = 0) -> "QuadInt":
+        require_ints(a=a, b=b)
         return QuadInt(self, a, b)
 
     def zero(self) -> "QuadInt":
@@ -71,12 +74,13 @@ class Ring:
         return f"Ring({self.d})"
 
 
-# Strict element grammar: <int> [("+"|"-") <uint> "*w"], no whitespace.
-_ELEM_RE = re.compile(r"^(-?\d+)(?:([+-])(\d+)\*(w|i))?$")
+# Strict element grammar: <int> [("+"|"-") <uint> "*w"], ASCII digits, no
+# whitespace; matched against the whole text, so no trailing newline.
+_ELEM_RE = re.compile(r"(-?\d+)(?:([+-])(\d+)\*(w|i))?", re.ASCII)
 
 
 def parse_element(rg: Ring, text: str) -> "QuadInt":
-    m = _ELEM_RE.match(text)
+    m = _ELEM_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"malformed element {text!r}; expected e.g. 3, -2+1*w, 3-9*w")
     a = int(m.group(1))

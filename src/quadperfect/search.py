@@ -1,26 +1,27 @@
 """Norm-bounded exhaustive search for n-powerfully t-perfect elements.
 
 The search runs over norms, not lattice points, and counts apart from
-finding.  The canonical elements of norm N are its ideals, so they are
-counted in closed form.  N is a norm exactly when each inert prime divides
-it to an even power, and the canonical elements of norm N match one-to-one
-the ways to share each split exponent e between the two conjugate primes
-above p as (r, e - r).  Because delta(n, z) is a product of geometric sums
-over z's prime factorization, each choice's delta follows from (r, e - r)
-and the ramified and inert exponents alone, in exact integer arithmetic.
-A depth-first walk builds the norms from their prime factors and prunes
-every subtree where no index can reach t.  Elements are built only for the
-choices that hit, and every hit is re-validated through the naive divisor
-sum before it is reported.
+finding: the canonical elements of norm at most the bound are counted row
+by row as the lattice points of an ellipse.  N is a norm exactly when each
+inert prime divides it to an even power, and the canonical elements of
+norm N match one-to-one the ways to share each split exponent e between
+the two conjugate primes above p as (r, e - r).  Because delta(n, z) is a
+product of geometric sums over z's prime factorization, each choice's
+delta follows from (r, e - r) and the ramified and inert exponents alone,
+in exact integer arithmetic.  A depth-first walk builds the norms from
+their prime factors and prunes every subtree where no index can reach t.
+Elements are built only for the choices that hit, and every hit is
+re-validated through the naive divisor sum before it is reported.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from itertools import accumulate, compress
+from itertools import compress
 
 from .divisor_functions import NAIVE_NORM_CAP, _geo_product, delta_naive, geo
+from .errors import require_ints
 from .primes import (
     PrimeClass,
     QuadFactorization,
@@ -82,29 +83,19 @@ class SearchReport(Record):
 _CHI = {PrimeClass.SPLIT: 1, PrimeClass.INERT: -1, PrimeClass.RAMIFIED: 0}
 
 
-def _element_count(rg: Ring, bound: int, odd_only: bool) -> int:
-    """The number of canonical elements of norm at most bound, odd norms
-    only if odd_only.  Each is one ideal, and sum_{b | N} chi(b) ideals
-    have norm N, so the count is the sum of chi(b) over a * b <= bound, with
-    a and b odd if odd_only.  With u = isqrt(bound), A(x) the number of a
-    <= x and X(x) = chi(1) + ... + chi(x), the hyperbola method gives it as
-    sum_{k <= u} (chi(k) A(bound // k) + X(bound // k)) - A(u) X(u)."""
-    step = 2 if odd_only else 1
-    # chi = chi_D, times 1 on odd j if odd_only, on one period, from the
-    # smallest prime factor p of each j; chi sums to 0 over the period.
-    mod = -rg.D * step
-    chi = [0, 1]
-    for j in range(2, mod):
-        p = next(p for p in range(2, j + 1) if j % p == 0)
-        chi.append(0 if odd_only and p == 2 else _CHI[_classify(p, rg)] * chi[j // p])
-    pre = list(accumulate(chi))
-    u = math.isqrt(bound)
-    # A(x) = ceil(x / step) counts the a <= x, odd if odd_only.
-    total = 0
-    for k in range(1, u + 1, step):
-        v = bound // k
-        total += chi[k % mod] * ((v + step - 1) // step) + pre[v % mod]
-    return total - (u + step - 1) // step * pre[u % mod]
+def _element_count(rg: Ring, bound: int) -> int:
+    """The number of canonical elements of norm at most bound: the lattice
+    points (x, b) != 0 with x = 2a + T*b = T*b mod 2 and x^2 - D*b^2 =
+    4 N(a + b*w) <= 4 * bound.  With r = isqrt(4 * bound + D*b^2), row b has
+    r + 1 such x in [-r, r], less one when r + T*b is odd.  Row 0 drops x = 0,
+    rows b and -b match, and each element is len(units) associate points."""
+    D, T, four_b = rg.D, rg.T, 4 * bound
+    r0 = math.isqrt(four_b)
+    rows = sum(
+        (r := math.isqrt(four_b + D * b * b)) + 1 - ((r + T * b) & 1)
+        for b in range(1, math.isqrt(four_b // -D) + 1)
+    )
+    return (r0 - (r0 & 1) + 2 * rows) // len(rg.units())
 
 
 def _primes_chi(rg: Ring, r: int) -> list[tuple[int, int]]:
@@ -252,9 +243,10 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[QuadInt]
 
 
 def _validate(n: int, t: int, bound: int) -> None:
+    require_ints(n=n, t=t, bound=bound)
     if n <= 0 or n % 2:
         raise ValueError(f"n must be a positive even integer, got {n}")
-    if not isinstance(t, int) or t < 2:
+    if t < 2:
         raise ValueError(f"t must be an integer >= 2, got {t!r}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -280,6 +272,13 @@ def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchRep
     hits = _scan(rg, n, t, bound, odd_only)
     hits.sort(key=QuadInt.sort_key)
     factors = [_revalidate(z, n, t) for z in hits]
+    scanned = _element_count(rg, bound)
+    if odd_only:
+        # The odd-norm ideals' zeta function is zeta_K times the inverse of
+        # its Euler factor at 2, (1 - 2^-s)(1 - chi(2) 2^-s).
+        c = _CHI[_classify(2, rg)]
+        terms = ((-1 - c, bound // 2), (c, bound // 4))
+        scanned += sum(k * _element_count(rg, x) for k, x in terms if k)
     elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
     return SearchReport(
         ring=rg,
@@ -287,7 +286,7 @@ def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchRep
         t=t,
         norm_bound=bound,
         hits=hits,
-        elements_scanned=_element_count(rg, bound, odd_only),
+        elements_scanned=scanned,
         wall_time_ms=elapsed_ms,
         odd_norm=odd_only,
         hit_factors=factors,

@@ -1,5 +1,6 @@
-"""Shared fixtures: the nine rings, brute-force lattice boxes used as
-oracles, and deterministic element generators."""
+"""Shared fixtures: the nine rings, brute-force lattice boxes and the
+hyperbola element count used as oracles, and deterministic element
+generators."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from quadperfect import ADMISSIBLE_D, QuadInt, Ring, factor
+from quadperfect.primes import _classify
+from quadperfect.search import _CHI
 
 settings.register_profile(
     "suite",
@@ -73,6 +76,32 @@ def norm_ball_elements(rg: Ring, bound: int) -> list[QuadInt]:
 def norm_ball_brute(rg: Ring, bound: int) -> set[QuadInt]:
     """Canonical representatives with 1 <= N <= bound."""
     return {z.canonical_associate() for z in norm_ball_elements(rg, bound)}
+
+
+def element_count_hyperbola(rg: Ring, bound: int, odd_only: bool) -> int:
+    """Oracle for the element count: the number of canonical elements of
+    norm at most bound, odd norms only if odd_only.  Each is one ideal, and
+    sum_{b | N} chi(b) ideals have norm N, so the count is the sum of chi(b)
+    over a * b <= bound, with a and b odd if odd_only.  With u = isqrt(bound),
+    A(x) the number of a <= x and X(x) = chi(1) + ... + chi(x), the hyperbola
+    method gives it as sum_{k <= u} (chi(k) A(bound // k) + X(bound // k)) -
+    A(u) X(u)."""
+    step = 2 if odd_only else 1
+    # chi = chi_D, times 1 on odd j if odd_only, on one period, from the
+    # smallest prime factor p of each j; chi sums to 0 over the period.
+    mod = -rg.D * step
+    chi = [0, 1]
+    for j in range(2, mod):
+        p = next(p for p in range(2, j + 1) if j % p == 0)
+        chi.append(0 if odd_only and p == 2 else _CHI[_classify(p, rg)] * chi[j // p])
+    pre = list(itertools.accumulate(chi))
+    u = math.isqrt(bound)
+    # A(x) = ceil(x / step) counts the a <= x, odd if odd_only.
+    total = 0
+    for k in range(1, u + 1, step):
+        v = bound // k
+        total += chi[k % mod] * ((v + step - 1) // step) + pre[v % mod]
+    return total - (u + step - 1) // step * pre[u % mod]
 
 
 def canonical_by_units(z: QuadInt) -> QuadInt:

@@ -340,9 +340,10 @@ class TestPlumbing:
         assert keys == sorted(keys)
 
     def test_malformed_element(self, capsys):
-        code, _, err = run(capsys, "factor", "--d", "-1", "--elem", "3+w")
-        assert code == 1
-        assert "malformed" in err
+        for elem in ["3+w", "3+9*i\n"]:
+            code, _, err = run(capsys, "factor", "--d", "-1", "--elem", elem)
+            assert code == 1, elem
+            assert "malformed" in err
 
     def test_i_alias_rejected_elsewhere(self, capsys):
         code, _, err = run(capsys, "factor", "--d", "-7", "--elem", "1+1*i")

@@ -13,7 +13,17 @@ from pathlib import Path
 import pytest
 
 import quadperfect
-from quadperfect import Ring, cli
+from quadperfect import (
+    Ring,
+    abundancy_index,
+    cli,
+    delta,
+    delta_naive,
+    factor_rational,
+    search_odd_norm,
+    search_perfect,
+    sigma,
+)
 from quadperfect.primes import IntFactorization, QuadFactorization
 from quadperfect.search import SearchReport
 from quadperfect.theorems import Check, EvenNormDecomposition, VerifierReport
@@ -167,3 +177,29 @@ def test_record_contract(cls, fields):
         a, b = cls(**fields), cls(**fields)
         assert (a.odd_norm, a.hit_checks, a.backend) == (False, [], "norm")
         assert a.hit_checks is not b.hit_checks
+
+
+Z = Ring(-1).element(3, 9)
+NON_INTEGER_CALLS = {
+    "delta(2.0, z)": lambda: delta(2.0, Z),
+    "delta_naive(2.0, z)": lambda: delta_naive(2.0, Z),
+    "abundancy_index(2.0, z)": lambda: abundancy_index(2.0, Z),
+    "sigma(1, 7.0)": lambda: sigma(1, 7.0),
+    "sigma(1.0, 7)": lambda: sigma(1.0, 7),
+    "factor_rational(7.0)": lambda: factor_rational(7.0),
+    "Ring(-7.0)": lambda: Ring(-7.0),
+    "element(3.5, 1)": lambda: Ring(-1).element(3.5, 1),
+    "element(3, 1.0)": lambda: Ring(-1).element(3, 1.0),
+    "search_perfect(n=2.0)": lambda: search_perfect(Ring(-1), 2.0, 2, 10**4),
+    "search_perfect(t=2.0)": lambda: search_perfect(Ring(-1), 2, 2.0, 10**4),
+    "search_perfect(bound=1e4)": lambda: search_perfect(Ring(-1), 2, 2, 1e4),
+    "search_odd_norm(bound=1e4)": lambda: search_odd_norm(Ring(-1), 1e4),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+def test_non_integers_rejected_at_entry(call):
+    # A float would otherwise flow into the exact arithmetic and come back
+    # as a float result or fail deep inside it.
+    with pytest.raises(TypeError, match="must be an integer"):
+        call()

@@ -211,7 +211,9 @@ class TestEncodings:
             parse_element(Ring(-7), "9+3*i")
 
     @pytest.mark.parametrize(
-        "text", ["", "w", "3+w", "3 + 1*w", "3+1*w*w", "1.5", "3+-2*w", "++3"]
+        "text",
+        ["", "w", "3+w", "3 + 1*w", "3+1*w*w", "1.5", "3+-2*w", "++3"]
+        + ["3+9*i\n", "3\n", "\u0663"],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import functools
 import os
+import random
 import subprocess
 import sys
+import time
 from bisect import bisect_right
 from pathlib import Path
 
@@ -22,9 +24,10 @@ from quadperfect import (
     search_perfect,
 )
 from quadperfect.primes import PrimeClass, _classify, _iroot, is_prime
+from quadperfect import search
 from quadperfect.search import _element_count, _primes_chi
 
-from conftest import NORM2_D, norm_ball_brute
+from conftest import NORM2_D, element_count_hyperbola, norm_ball_brute
 
 
 def normalized_json(report) -> dict:
@@ -130,6 +133,16 @@ class TestSearchPerfect:
             "backend",
         }
 
+    def test_wall_time_covers_count(self, monkeypatch):
+        count = search._element_count
+
+        def slow(*args):
+            time.sleep(0.05)
+            return count(*args)
+
+        monkeypatch.setattr(search, "_element_count", slow)
+        assert search_perfect(Ring(-1), 2, 2, 100).wall_time_ms >= 50
+
     def test_determinism(self):
         a = normalized_json(search_perfect(Ring(-3), 2, 2, 4000))
         b = normalized_json(search_perfect(Ring(-3), 2, 2, 4000))
@@ -199,8 +212,8 @@ def delta_table(d: int) -> list[tuple[QuadInt, int, int]]:
 
 
 class TestCountAndWalk:
-    """The closed-form element count, the walk's prime list, its pruning
-    bound and its hits, each against a direct computation."""
+    """The lattice element count, the walk's prime list, its pruning bound
+    and its hits, each against a direct computation."""
 
     CHI = {PrimeClass.SPLIT: 1, PrimeClass.INERT: -1, PrimeClass.RAMIFIED: 0}
 
@@ -208,8 +221,24 @@ class TestCountAndWalk:
         norms = [z.norm() for z, _, _ in delta_table(rg.d)]
         odd = [N for N in norms if N % 2]
         for bound in [*range(1, 401), 2999, 3000]:
-            assert _element_count(rg, bound, False) == bisect_right(norms, bound)
-            assert _element_count(rg, bound, True) == bisect_right(odd, bound)
+            full, odd_count = bisect_right(norms, bound), bisect_right(odd, bound)
+            assert _element_count(rg, bound) == full, bound
+            assert search_odd_norm(rg, bound).elements_scanned == odd_count, bound
+            assert element_count_hyperbola(rg, bound, False) == full, bound
+            assert element_count_hyperbola(rg, bound, True) == odd_count, bound
+
+    def test_element_count_matches_hyperbola(self, rg):
+        # Seeded bounds at every size up to 10^12; the odd scans stop at
+        # 10^10, where the walk is still quick.
+        rnd = random.Random(1300 - rg.d)
+        for k in range(3, 13):
+            bound = rnd.randrange(10 ** (k - 1), 10**k)
+            assert _element_count(rg, bound) == element_count_hyperbola(
+                rg, bound, False
+            ), bound
+            if k <= 10:
+                odd = search_odd_norm(rg, bound).elements_scanned
+                assert odd == element_count_hyperbola(rg, bound, True), bound
 
     def test_primes_chi(self, rg):
         for r in [*range(1, 201), 10001]:
@@ -311,6 +340,12 @@ class TestOddNormScan:
             assert rep.odd_norm
             assert rep.hits == []
             assert rep.hit_checks == []
+
+    @pytest.mark.parametrize("d,scanned", [(-1, 3926990754), (-7, 2968526096)])
+    def test_frozen_1e10(self, d, scanned):
+        rep = search_odd_norm(Ring(d), 10**10)
+        assert rep.elements_scanned == scanned
+        assert rep.hits == []
 
     def test_scanned_counts_only_odd_norms(self):
         rg = Ring(-1)
