@@ -10,7 +10,7 @@ decomposition invariants) is an exact JSON integer, which a reader that
 parses numbers as 53-bit floats must read as a big integer.
 Exit codes: 0 on success (an empty search is a success), 2 on usage
 errors and on inputs beyond a safety cap (TooLarge), 1 on computation
-errors.
+errors and when --out cannot be written.
 
 Each subcommand returns (obj, lines): the object --json writes and the
 lines of the text rendering; main renders one of them.
@@ -281,8 +281,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"qp: error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text + "\n")
     return 0

@@ -104,7 +104,8 @@ def abundancy_index(n: int, z: QuadInt) -> Fraction:
 
 def is_powerfully_perfect(n: int, t: int, z: QuadInt) -> bool:
     """True when index(n, z) == t, for integer t >= 2."""
-    if not isinstance(t, int) or t < 2:
+    require_ints(t=t)
+    if t < 2:
         raise ValueError(f"t must be an integer >= 2, got {t!r}")
     return abundancy_index(n, z) == t
 

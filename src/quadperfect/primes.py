@@ -37,6 +37,7 @@ def is_prime(n: int) -> bool:
     A witness proves n composite at any size; a probable prime at or above
     that limit raises TooLarge.
     """
+    require_ints(n=n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -162,6 +163,7 @@ def factor_rational(n: int) -> IntFactorization:
 
 def int_valuation(p: int, n: int) -> int:
     """Largest e with p^e dividing n, for prime p and n != 0."""
+    require_ints(p=p, n=n)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n == 0:
@@ -194,6 +196,7 @@ def _classify(p: int, rg: Ring) -> PrimeClass:
 
 
 def classify_rational_prime(p: int, rg: Ring) -> PrimeClass:
+    require_ints(p=p)
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not a rational prime")
     return _classify(p, rg)
@@ -259,6 +262,7 @@ def _primes_above(p: int, rg: Ring) -> tuple[QuadInt, ...]:
 def prime_above(p: int, rg: Ring) -> QuadInt:
     """A canonical prime above p: p itself when inert, a norm-p element
     otherwise (the distinguished one of the conjugate pair when p splits)."""
+    require_ints(p=p)
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not a rational prime")
     return _primes_above(p, rg)[0]

@@ -6,11 +6,12 @@ by row as the lattice points of an ellipse.  N is a norm exactly when each
 inert prime divides it to an even power, and the canonical elements of
 norm N match one-to-one the ways to share each split exponent e between
 the two conjugate primes above p as (r, e - r).  Because delta(n, z) is a
-product of geometric sums over z's prime factorization, each choice's
-delta follows from (r, e - r) and the ramified and inert exponents alone,
-in exact integer arithmetic.  A depth-first walk builds the norms from
-their prime factors and prunes every subtree where no index can reach t.
-Elements are built only for the choices that hit, and every hit is
+product of geometric sums over z's prime factorization, each element's
+delta follows from those (r, e - r) and the ramified and inert exponents
+alone, in exact integer arithmetic.  A depth-first walk over the norms,
+each node holding only its norm and its elements' delta values, prunes
+every subtree where no index can reach t and returns the norms that hit.
+Each hit norm is factored again to build its elements, and every hit is
 re-validated through the naive divisor sum before it is reported.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import compress
+from itertools import compress, product
 
 from .divisor_functions import NAIVE_NORM_CAP, _geo_product, delta_naive, geo
 from .errors import require_ints
@@ -29,6 +30,7 @@ from .primes import (
     _iroot,
     _primes_above,
     factor,
+    factor_rational,
     is_prime,
 )
 from .records import Record
@@ -38,9 +40,9 @@ from .rings import QuadInt, Ring
 class SearchReport(Record):
     """One search: its ring, n, t and norm bound, the sorted hits, the count
     of elements examined and the wall time; odd_norm marks an odd-norm
-    search, hit_checks holds the verifier reports run on each hit,
-    backend names the search that ran and hit_factors holds each hit's
-    factorization from its revalidation (not part of the JSON)."""
+    search, hit_checks holds the verifier reports run on each hit, backend
+    is always "norm" and hit_factors holds each hit's factorization from
+    its revalidation (not part of the JSON)."""
 
     __slots__ = (
         "ring",
@@ -107,61 +109,51 @@ def _primes_chi(rg: Ring, r: int) -> list[tuple[int, int]]:
     return [(p, _CHI[_classify(p, rg)]) for p in compress(range(r + 1), sieve)]
 
 
-def _elements(rg: Ring, split, fixed, choices) -> list[QuadInt]:
-    """The canonical elements of one norm: for each rs in choices, the one
-    with pi^r * pibar^(e - r) at each split prime and r in rs, times the
-    fixed part of the norm's factorization."""
-    base = rg.one()
-    for p, k, _ in fixed:
-        base = base * _primes_above(p, rg)[0] ** k
-    parts = []
-    for p, e in split:
-        pi, pibar = _primes_above(p, rg)
-        parts.append([pi**r * pibar ** (e - r) for r in range(e + 1)])
-    out = []
-    for rs in choices:
-        z = base
-        for part, r in zip(parts, rs):
-            z = z * part[r]
-        out.append(z.canonical_associate())
-    return out
+def _hits_of_norm(rg: Ring, N: int, h: int, t: int) -> list[QuadInt]:
+    """The canonical z of norm N with delta(2h, z) = t * N^h; [] when an
+    inert prime divides N to an odd power, so N is not a norm.  Each z is
+    pi^k at each ramified or inert p, N(pi)^k = p^e, times pi^r * pibar^(e-r)
+    at each split p^e, for one r in 0..e."""
+    fixed, fixed_delta, choices = rg.one(), 1, []
+    for p, e in factor_rational(N):
+        above = _primes_above(p, rg)
+        if len(above) == 2:
+            pi, pibar = above
+            q = p**h
+            choices.append(
+                [
+                    (pi**r * pibar ** (e - r), geo(q, r) * geo(q, e - r))
+                    for r in range(e + 1)
+                ]
+            )
+            continue
+        q = above[0].norm()
+        k, odd = divmod(e, 1 if q == p else 2)
+        if odd:
+            return []
+        fixed *= above[0] ** k
+        fixed_delta *= geo(q**h, k)
+    need = t * N**h
+    return [
+        math.prod([z for z, _ in combo], start=fixed).canonical_associate()
+        for combo in product(*choices)
+        if fixed_delta * math.prod([f for _, f in combo]) == need
+    ]
 
 
-def _choices(N: int, split, fixed, h: int, t: int) -> list[tuple[int, ...]]:
-    """The exponent choices rs (r for each split (p, e)) whose element of
-    norm N has delta = t * N^h."""
-    fixed_delta = math.prod([geo(q**h, k) for _, k, q in fixed])
-    need, rem = divmod(t * N**h, fixed_delta)
-    if rem:
-        return []
-    # Split prime p contributes geo(p^h, r) * geo(p^h, e - r) to delta;
-    # extend the choices prime by prime while the product still divides.
-    partial = [((), need)]
-    for p, e in split:
-        q = p**h
-        partial = [
-            (rs + (r,), rest // v)
-            for rs, rest in partial
-            for r in range(e + 1)
-            if rest % (v := geo(q, r) * geo(q, e - r)) == 0
-        ]
-    return [rs for rs, rest in partial if rest == 1]
-
-
-def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[QuadInt]:
-    """The hits, unsorted.
+def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
+    """The norms of the hits, unsorted.
 
     A depth-first walk over norms m * p^e, primes in increasing order, that
     opens a child only where m * p^2 <= bound; an inert prime enters with
-    even exponents only, so every node is a norm.  Each node carries its
-    split (p, e) and fixed (p, k, q) factors (the prime above p occurs to
-    the power k and has norm q) and the delta values of its elements.  Its
-    descendants add primes p >= s, one above the largest prime of m (s = 2
-    at the root, or 3 in an odd-norm scan).  Those above sqrt(bound / m)
-    end norms m * p with no children and are tested in closed form.  The
-    steps through p (q^k, the factors the delta values gain, the factor
-    entry) do not depend on the node, so each is built once per scan, the
-    first time a node reaches p.
+    even exponents only, so every node is a norm.  A node carries m, the
+    least prime s its descendants may add (one above the largest prime of
+    m; 2 at the root, or 3 in an odd-norm scan) and the delta values of m's
+    elements, and reports m when one is t * m^h.  Primes above sqrt(bound /
+    m) end norms m * p with no children, tested in closed form; with p inert
+    m * p is not a norm and has no element.  The steps through p (q^k and
+    the factors the delta values gain) do not depend on the node, so each
+    is built once per scan, the first time a node reaches p.
 
     Pruning.  Going from m to m * M multiplies an element's index v / m^h
     by its cofactor's, a product of ratios geo(q^h, k) / q^(hk), k >= 1,
@@ -174,13 +166,12 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[QuadInt]
     bound falls as p grows, so no later child can hit either."""
     h = n // 2
     walk = _primes_chi(rg, math.isqrt(bound))[odd_only:]  # odd norms: no 2
-    hits = []
+    norms = []
     steps = {}  # p -> step_table(p, c), filled as the walk reaches p
 
     def step_table(p, c):
-        # The steps from a node to its children through p, up to q^k <=
-        # bound: q^k, the delta factors and the split or fixed part.  The
-        # primes above p have norm q = p, or p^2 when p is inert.
+        # (q^k, the delta factors) for each step through p with q^k <= bound;
+        # the primes above p have norm q = p, or p^2 when p is inert.
         q = p * p if c < 0 else p
         qh = q**h
         table = []
@@ -188,21 +179,18 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[QuadInt]
         while qk <= bound:
             if c > 0:
                 fs = {geo(qh, r) * geo(qh, k - r) for r in range(k // 2 + 1)}
-                table.append((qk, fs, ((p, k),), ()))
             else:
-                table.append((qk, (geo(qh, k),), (), ((p, k, q),)))
+                fs = (geo(qh, k),)
+            table.append((qk, fs))
             k, qk = k + 1, qk * q
         return table
 
-    def hit(N, split, fixed):
-        hits.extend(_elements(rg, split, fixed, _choices(N, split, fixed, h, t)))
-
-    def visit(m, s, start, deltas, w, split, fixed):
+    def visit(m, s, start, deltas, w):
         # w is at least floor(log_s(cap)) on entry: the parent's value.
         cap = bound // m
         tm = t * m**h
         if tm in deltas:
-            hit(m, split, fixed)
+            norms.append(m)
         while s**w > cap:
             w -= 1
         lo, hi = tm * (s**h - 1) ** w, s ** (h * w)
@@ -217,10 +205,7 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[QuadInt]
             if not rem:
                 p = _iroot(ph, h)
                 if plo < p <= cap and p**h == ph and is_prime(p):
-                    if (c := _CHI[_classify(p, rg)]) > 0:
-                        hit(m * p, split + ((p, 1),), fixed)
-                    elif c == 0:
-                        hit(m * p, split, fixed + ((p, 1, p),))
+                    norms.append(m * p)
         top = max(deltas)
         for j in range(start, len(walk)):
             p, c = walk[j]
@@ -231,15 +216,14 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[QuadInt]
                 break
             if (table := steps.get(p)) is None:
                 table = steps[p] = step_table(p, c)
-            for qk, fs, sp, fx in table:
+            for qk, fs in table:
                 if qk > cap:
                     break
-                vs = {v * f for v in deltas for f in fs}
-                visit(m * qk, p + 1, j + 1, vs, w, split + sp, fixed + fx)
+                visit(m * qk, p + 1, j + 1, {v * f for v in deltas for f in fs}, w)
 
     # s = 3 keeps 2 out of an odd-norm scan's leaves.
-    visit(1, 3 if odd_only else 2, 0, {1}, bound.bit_length(), (), ())
-    return hits
+    visit(1, 3 if odd_only else 2, 0, {1}, bound.bit_length())
+    return norms
 
 
 def _validate(n: int, t: int, bound: int) -> None:
@@ -269,7 +253,8 @@ def _revalidate(z: QuadInt, n: int, t: int) -> QuadFactorization:
 
 def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchReport:
     start = time.perf_counter_ns()
-    hits = _scan(rg, n, t, bound, odd_only)
+    norms = _scan(rg, n, t, bound, odd_only)
+    hits = [z for N in norms for z in _hits_of_norm(rg, N, n // 2, t)]
     hits.sort(key=QuadInt.sort_key)
     factors = [_revalidate(z, n, t) for z in hits]
     scanned = _element_count(rg, bound)

@@ -24,6 +24,7 @@ from .errors import (
     PreconditionFailed,
     SplitDichotomyViolation,
     ZeroElement,
+    require_ints,
 )
 from .primes import (
     PrimeClass,
@@ -177,6 +178,7 @@ def _congruence_checks(gamma: int, q: int) -> list[Check]:
 def check_mersenne_inert(gamma: int, rg: Ring) -> VerifierReport:
     """q = 2^(gamma+1) - 1 must be a Mersenne prime, inert in the ring;
     check ids 2.1 (d = -1, -2) and 2.3 (d = -7)."""
+    require_ints(gamma=gamma)
     _require_norm2(rg)
     if gamma < 1:
         raise PreconditionFailed(f"gamma must be >= 1, got {gamma}")
@@ -269,6 +271,7 @@ def check_prime_count(z: QuadInt) -> VerifierReport:
 def smallest_odd_prime_norms(rg: Ring, count: int) -> list[int]:
     """Norms of the first `count` odd-norm canonical primes, ascending,
     with split primes contributing twice."""
+    require_ints(count=count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     limit = 64

@@ -334,6 +334,15 @@ class TestPlumbing:
         assert capsys.readouterr().out == ""
         assert mask_wall_time(target.read_text()) == mask_wall_time(printed)
 
+    def test_out_unwritable(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        argv = ["factor", "--d", "-1", "--elem", "9+3*i", "--out", str(target)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("qp: error: ") and err.count("\n") == 1
+        assert str(target) in err
+
     def test_json_is_key_sorted(self, capsys):
         code, out, _ = run(capsys, "classify", "--d", "-2", "--elem", "3", "--json")
         keys = list(json.loads(out))

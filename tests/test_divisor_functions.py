@@ -213,7 +213,8 @@ class TestIndex:
         z = Ring(-1).element(9, 3)
         with pytest.raises(ValueError):
             is_powerfully_perfect(2, 1, z)
-        with pytest.raises(ValueError):
+        # A non-integer t is a type error, as at every other entry point.
+        with pytest.raises(TypeError, match="t must be an integer"):
             is_powerfully_perfect(2, Fraction(5, 2), z)
 
     def test_duality(self, rg):

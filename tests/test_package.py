@@ -16,17 +16,28 @@ import quadperfect
 from quadperfect import (
     Ring,
     abundancy_index,
+    check_mersenne_inert,
+    classify_rational_prime,
     cli,
     delta,
     delta_naive,
     factor_rational,
+    is_powerfully_perfect,
+    is_prime,
+    prime_above,
     search_odd_norm,
     search_perfect,
     sigma,
+    split_prime_pair,
 )
-from quadperfect.primes import IntFactorization, QuadFactorization
+from quadperfect.primes import IntFactorization, QuadFactorization, int_valuation
 from quadperfect.search import SearchReport
-from quadperfect.theorems import Check, EvenNormDecomposition, VerifierReport
+from quadperfect.theorems import (
+    Check,
+    EvenNormDecomposition,
+    VerifierReport,
+    smallest_odd_prime_norms,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -194,6 +205,15 @@ NON_INTEGER_CALLS = {
     "search_perfect(t=2.0)": lambda: search_perfect(Ring(-1), 2, 2.0, 10**4),
     "search_perfect(bound=1e4)": lambda: search_perfect(Ring(-1), 2, 2, 1e4),
     "search_odd_norm(bound=1e4)": lambda: search_odd_norm(Ring(-1), 1e4),
+    "is_prime(7.0)": lambda: is_prime(7.0),
+    "int_valuation(2, 8.0)": lambda: int_valuation(2, 8.0),
+    "int_valuation(2.0, 8)": lambda: int_valuation(2.0, 8),
+    "classify_rational_prime(7.0)": lambda: classify_rational_prime(7.0, Ring(-1)),
+    "prime_above(5.0)": lambda: prime_above(5.0, Ring(-1)),
+    "split_prime_pair(5.0)": lambda: split_prime_pair(5.0, Ring(-1)),
+    "smallest_odd_prime_norms(2.5)": lambda: smallest_odd_prime_norms(Ring(-1), 2.5),
+    "check_mersenne_inert(2.0)": lambda: check_mersenne_inert(2.0, Ring(-1)),
+    "is_powerfully_perfect(t=2.0)": lambda: is_powerfully_perfect(2, 2.0, Z),
 }
 
 

@@ -4,6 +4,7 @@ that oracle, frozen search fixtures and the report contract."""
 from __future__ import annotations
 
 import functools
+import json
 import os
 import random
 import subprocess
@@ -27,7 +28,7 @@ from quadperfect.primes import PrimeClass, _classify, _iroot, is_prime
 from quadperfect import search
 from quadperfect.search import _element_count, _primes_chi
 
-from conftest import NORM2_D, element_count_hyperbola, norm_ball_brute
+from conftest import ALL_D, NORM2_D, element_count_hyperbola, norm_ball_brute
 
 
 def normalized_json(report) -> dict:
@@ -266,6 +267,27 @@ class TestCountAndWalk:
                         w += 1
                     assert dv * (s**h - 1) ** w < M**h * s ** (h * w), (z, s, h)
 
+    def test_hits_of_norm(self, rg):
+        # No element has a norm N <= 3000 outside the table.  The t = 1 there
+        # is the hardest case: a builder that skipped an odd inert exponent
+        # would return the z of norm N / p with index p, such as 30 for
+        # N = 1800 in d = -19.
+        table = delta_table(rg.d)
+        norms = {z.norm() for z, _, _ in table}
+        for N in range(1, 3001):
+            if N not in norms:
+                assert search._hits_of_norm(rg, N, 1, 1) == [], N
+        hits = {}
+        for z, *deltas in table:
+            N = z.norm()
+            for h, dv in zip((1, 2), deltas):
+                t, rem = divmod(dv, N**h)
+                if t >= 2 and not rem:
+                    hits.setdefault((N, h, t), []).append(z)
+        for (N, h, t), zs in hits.items():
+            got = sorted(search._hits_of_norm(rg, N, h, t), key=QuadInt.sort_key)
+            assert got == zs, (N, h, t)
+
     @pytest.mark.parametrize(
         "n,t,odd_only",
         [(2, 2, False), (2, 3, False), (2, 4, False), (4, 2, False), (2, 2, True)],
@@ -282,6 +304,42 @@ class TestCountAndWalk:
         else:
             rep = search_perfect(rg, n, t, 3000)
         assert rep.hits == hits
+
+
+WALK_GRID = Path(__file__).with_name("walk_grid.json")
+
+
+def walk_grid() -> list[dict]:
+    """Each ring's search_perfect at seven (n, t) and search_odd_norm, at
+    three bounds: per case the elements scanned and the hits' (a, b)."""
+    cases = []
+    for d in ALL_D:
+        rg = Ring(d)
+        for bound in (3000, 3 * 10**4, 3 * 10**5):
+            runs = [
+                (n, t, False, search_perfect(rg, n, t, bound))
+                for n, t in [(2, 2), (2, 3), (2, 4), (2, 5), (4, 2), (4, 3), (6, 2)]
+            ]
+            runs.append((2, 2, True, search_odd_norm(rg, bound)))
+            cases += [
+                {
+                    "d": d,
+                    "n": n,
+                    "t": t,
+                    "bound": bound,
+                    "odd_norm": odd,
+                    "elements_scanned": rep.elements_scanned,
+                    "hits": [[z.a, z.b] for z in rep.hits],
+                }
+                for n, t, odd, rep in runs
+            ]
+    return cases
+
+
+def test_walk_grid():
+    # Written by PYTHONPATH=src python3 tests/test_search.py > tests/walk_grid.json
+    # from the repository root; no change to the walk or the count may alter it.
+    assert walk_grid() == json.loads(WALK_GRID.read_text())
 
 
 def run_fresh(d: int, bound: int) -> tuple[int, set[int], int]:
@@ -358,3 +416,9 @@ class TestOddNormScan:
         # norm-2 prime.
         rep = search_odd_norm(Ring(-19), 3000)
         assert rep.hits == []
+
+
+if __name__ == "__main__":
+    print("[")
+    print(",\n".join(json.dumps(case) for case in walk_grid()))
+    print("]")
