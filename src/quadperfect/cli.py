@@ -64,7 +64,7 @@ def _int_arg(flag: str, ok, rule: str):
 
 _d_arg = _int_arg("--d", ADMISSIBLE_D.__contains__, f"one of {ADMISSIBLE_D}")
 _n_arg = _int_arg("--n", lambda n: n and n % 2 == 0, "a nonzero even integer, got {}")
-_index_n_arg = _int_arg(
+_positive_n_arg = _int_arg(
     "--n", lambda n: n > 0 and n % 2 == 0, "a positive even integer, got {}"
 )
 _t_arg = _int_arg("--t", lambda t: t >= 2, ">= 2, got {}")
@@ -233,11 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     common("factor", "unique factorization", _cmd_factor, elem=True)
     common("delta", "norm-power divisor sum", _cmd_delta_index, elem=True, n=_n_arg)
-    common("index", "abundancy index", _cmd_delta_index, elem=True, n=_index_n_arg)
+    common("index", "abundancy index", _cmd_delta_index, elem=True, n=_positive_n_arg)
     common("divisors", "divisor classes", _cmd_divisors, elem=True)
     common("classify", "ramified/split/inert", _cmd_classify, elem=True)
     search = common(
-        "search", "perfect-element search", _cmd_search, n=_n_arg, t=True, bound=True
+        "search",
+        "perfect-element search",
+        _cmd_search,
+        n=_positive_n_arg,
+        t=True,
+        bound=True,
     )
     search.add_argument(
         "--odd-norm",

@@ -9,8 +9,9 @@ the two conjugate primes above p as (r, e - r).  Because delta(n, z) is a
 product of geometric sums over z's prime factorization, each element's
 delta follows from those (r, e - r) and the ramified and inert exponents
 alone, in exact integer arithmetic.  A depth-first walk over the norms,
-each node holding only its norm and its elements' delta values, prunes
-every subtree where no index can reach t and returns the norms that hit.
+each node holding only its norm and its elements' delta values, finds
+its primes as it first reaches them, prunes every subtree where no index
+can reach t and returns the norms that hit.
 Each hit norm is factored again to build its elements, and every hit is
 re-validated through the naive divisor sum before it is reported.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import compress, product
+from itertools import count, product
 
 from .divisor_functions import NAIVE_NORM_CAP, _geo_product, delta_naive, geo
 from .errors import require_ints
@@ -100,15 +101,6 @@ def _element_count(rg: Ring, bound: int) -> int:
     return (r0 - (r0 & 1) + 2 * rows) // len(rg.units())
 
 
-def _primes_chi(rg: Ring, r: int) -> list[tuple[int, int]]:
-    """(p, chi_D(p)) for the primes p <= r, by the sieve of Eratosthenes."""
-    sieve = bytearray(2) + bytearray([1]) * (r - 1)
-    for p in range(2, math.isqrt(r) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, r + 1, p)))
-    return [(p, _CHI[_classify(p, rg)]) for p in compress(range(r + 1), sieve)]
-
-
 def _hits_of_norm(rg: Ring, N: int, h: int, t: int) -> list[QuadInt]:
     """The canonical z of norm N with delta(2h, z) = t * N^h; [] when an
     inert prime divides N to an odd power, so N is not a norm.  Each z is
@@ -147,13 +139,12 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
     A depth-first walk over norms m * p^e, primes in increasing order, that
     opens a child only where m * p^2 <= bound; an inert prime enters with
     even exponents only, so every node is a norm.  A node carries m, the
-    least prime s its descendants may add (one above the largest prime of
-    m; 2 at the root, or 3 in an odd-norm scan) and the delta values of m's
-    elements, and reports m when one is t * m^h.  Primes above sqrt(bound /
-    m) end norms m * p with no children, tested in closed form; with p inert
-    m * p is not a norm and has no element.  The steps through p (q^k and
-    the factors the delta values gain) do not depend on the node, so each
-    is built once per scan, the first time a node reaches p.
+    index in the prime table of s, the next prime after m's largest (2, or
+    3 in an odd-norm scan), and the delta values of m's elements, and
+    reports m when one is t * m^h.  Primes above sqrt(bound / m) end norms
+    m * p with no children, tested in closed form; an inert p is skipped
+    there, as m * p is no norm.  The table grows as the walk first reaches
+    each prime, with the steps through it (q^k and the delta factors).
 
     Pruning.  Going from m to m * M multiplies an element's index v / m^h
     by its cofactor's, a product of ratios geo(q^h, k) / q^(hk), k >= 1,
@@ -165,13 +156,17 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
     loop stops at the first p where max(v) fails the test with s = p; the
     bound falls as p grows, so no later child can hit either."""
     h = n // 2
-    walk = _primes_chi(rg, math.isqrt(bound))[odd_only:]  # odd norms: no 2
     norms = []
-    steps = {}  # p -> step_table(p, c), filled as the walk reaches p
+    walk = []  # (p, step table) in order; it always holds every node's start
 
-    def step_table(p, c):
-        # (q^k, the delta factors) for each step through p with q^k <= bound;
-        # the primes above p have norm q = p, or p^2 when p is inert.
+    def grow():
+        # Append the next prime p and its table: (q^k, the delta factors) for
+        # each step through p with q^k <= bound, where the primes above p
+        # have norm q = p, or p^2 when p is inert.
+        p = walk[-1][0] + 1 if walk else 3 if odd_only else 2
+        while not is_prime(p):
+            p += 1
+        c = _CHI[_classify(p, rg)]
         q = p * p if c < 0 else p
         qh = q**h
         table = []
@@ -183,10 +178,11 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
                 fs = (geo(qh, k),)
             table.append((qk, fs))
             k, qk = k + 1, qk * q
-        return table
+        walk.append((p, table))
 
-    def visit(m, s, start, deltas, w):
+    def visit(m, start, deltas, w):
         # w is at least floor(log_s(cap)) on entry: the parent's value.
+        s = walk[start][0]
         cap = bound // m
         tm = t * m**h
         if tm in deltas:
@@ -205,24 +201,25 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
             if not rem:
                 p = _iroot(ph, h)
                 if plo < p <= cap and p**h == ph and is_prime(p):
-                    norms.append(m * p)
+                    if _classify(p, rg) is not PrimeClass.INERT:
+                        norms.append(m * p)
         top = max(deltas)
-        for j in range(start, len(walk)):
-            p, c = walk[j]
+        for j in count(start):
+            p, table = walk[j]
             while p**w > cap:
                 w -= 1
             ph = p**h
             if w < 2 or top * ph**w <= tm * (ph - 1) ** w:
                 break
-            if (table := steps.get(p)) is None:
-                table = steps[p] = step_table(p, c)
+            if j + 1 == len(walk):
+                grow()  # the children start from walk[j + 1]
             for qk, fs in table:
                 if qk > cap:
                     break
-                visit(m * qk, p + 1, j + 1, {v * f for v in deltas for f in fs}, w)
+                visit(m * qk, j + 1, {v * f for v in deltas for f in fs}, w)
 
-    # s = 3 keeps 2 out of an odd-norm scan's leaves.
-    visit(1, 3 if odd_only else 2, 0, {1}, bound.bit_length())
+    grow()
+    visit(1, 0, {1}, bound.bit_length())
     return norms
 
 

@@ -187,6 +187,12 @@ class TestSearch:
             main(["search", "--d", "-1", "--t", "1", "--bound", "10"])
         assert exc.value.code == 2
 
+    def test_negative_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--d", "-1", "--n", "-2", "--bound", "10"])
+        assert exc.value.code == 2
+        assert "--n must be a positive even integer, got -2" in capsys.readouterr().err
+
     def test_d_validation(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--d", "-5", "--bound", "10"])

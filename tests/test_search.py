@@ -24,9 +24,9 @@ from quadperfect import (
     search_odd_norm,
     search_perfect,
 )
-from quadperfect.primes import PrimeClass, _classify, _iroot, is_prime
+from quadperfect.primes import PrimeClass, _classify, _iroot, factor_rational
 from quadperfect import search
-from quadperfect.search import _element_count, _primes_chi
+from quadperfect.search import _element_count
 
 from conftest import ALL_D, NORM2_D, element_count_hyperbola, norm_ball_brute
 
@@ -213,10 +213,8 @@ def delta_table(d: int) -> list[tuple[QuadInt, int, int]]:
 
 
 class TestCountAndWalk:
-    """The lattice element count, the walk's prime list, its pruning bound
-    and its hits, each against a direct computation."""
-
-    CHI = {PrimeClass.SPLIT: 1, PrimeClass.INERT: -1, PrimeClass.RAMIFIED: 0}
+    """The lattice element count, the walk's pruning bound, its leaves, the
+    primes it classifies and its hits, each against a direct computation."""
 
     def test_element_count(self, rg):
         norms = [z.norm() for z, _, _ in delta_table(rg.d)]
@@ -241,15 +239,6 @@ class TestCountAndWalk:
                 odd = search_odd_norm(rg, bound).elements_scanned
                 assert odd == element_count_hyperbola(rg, bound, True), bound
 
-    def test_primes_chi(self, rg):
-        for r in [*range(1, 201), 10001]:
-            expect = [
-                (p, self.CHI[_classify(p, rg)])
-                for p in range(2, r + 1)
-                if is_prime(p)
-            ]
-            assert _primes_chi(rg, r) == expect, r
-
     def test_pruning_bound(self, rg):
         # An element y of norm 1 < M <= 2000 whose primes are all >= s has
         # 1 < delta(2h, y) / M^h < (s^h / (s^h - 1))^w for w = floor(log_s(M)),
@@ -266,6 +255,30 @@ class TestCountAndWalk:
                     while s ** (w + 1) <= M:
                         w += 1
                     assert dv * (s**h - 1) ** w < M**h * s ** (h * w), (z, s, h)
+
+    def test_scan_returns_norms(self, rg):
+        # An inert leaf prime p makes m * p no norm; the walk skips it.
+        for n, t in GRID_NT:
+            for N in search._scan(rg, n, t, 3 * 10**4, False):
+                odd_inert = [
+                    p
+                    for p, e in factor_rational(N)
+                    if e % 2 and _classify(p, rg) is PrimeClass.INERT
+                ]
+                assert not odd_inert, (n, t, N)
+
+    def test_primes_found_on_demand(self, monkeypatch):
+        # The walk for n = 4 opens only the primes up to 7, so it classifies
+        # a handful of primes, not every prime up to sqrt(bound).
+        calls = []
+
+        def counting(p, rg):
+            calls.append(p)
+            return _classify(p, rg)
+
+        monkeypatch.setattr(search, "_classify", counting)
+        assert search._scan(Ring(-7), 4, 2, 10**12, False) == []
+        assert len(calls) < 100
 
     def test_hits_of_norm(self, rg):
         # No element has a norm N <= 3000 outside the table.  The t = 1 there
@@ -307,6 +320,7 @@ class TestCountAndWalk:
 
 
 WALK_GRID = Path(__file__).with_name("walk_grid.json")
+GRID_NT = [(2, 2), (2, 3), (2, 4), (2, 5), (4, 2), (4, 3), (6, 2)]
 
 
 def walk_grid() -> list[dict]:
@@ -318,7 +332,7 @@ def walk_grid() -> list[dict]:
         for bound in (3000, 3 * 10**4, 3 * 10**5):
             runs = [
                 (n, t, False, search_perfect(rg, n, t, bound))
-                for n, t in [(2, 2), (2, 3), (2, 4), (2, 5), (4, 2), (4, 3), (6, 2)]
+                for n, t in GRID_NT
             ]
             runs.append((2, 2, True, search_odd_norm(rg, bound)))
             cases += [
@@ -367,21 +381,23 @@ def run_fresh(d: int, bound: int) -> tuple[int, set[int], int]:
     return scanned, set(norms), int(out[1].split()[1])
 
 
-def test_search_1e8_fresh_process():
-    # Memory is O(sqrt(bound)): no table of the integers up to the bound.
-    scanned, norms, peak = run_fresh(-7, 10**8)
-    assert scanned == 118741113
-    assert norms == {28, 8128, 33550336}
-    assert peak < 64 * 1024
-
-
-def test_search_1e10_fresh_process():
-    # The count is closed-form and the walk is pruned, so 10^10, the CLI's
-    # guard, is in reach in a small process.
-    scanned, norms, peak = run_fresh(-7, 10**10)
-    assert scanned == 11874103774
-    assert norms == {28, 8128, 33550336}
-    assert peak < 32 * 1024
+@pytest.mark.parametrize(
+    "bound,scanned,norms,peak_mib",
+    [
+        (10**8, 118741113, {28, 8128, 33550336}, 64),
+        (10**10, 11874103774, {28, 8128, 33550336}, 32),
+        (2 * 10**11, 237482082225, {28, 8128, 33550336, 137438691328}, 32),
+    ],
+    ids=["1e8", "1e10", "2e11"],
+)
+def test_search_fresh_process(bound, scanned, norms, peak_mib):
+    # The count takes O(sqrt(bound)) steps in O(1) memory, and the pruned
+    # walk holds only the primes it reaches, so 10^10, the CLI's guard, and
+    # 2 * 10^11, which holds the hit norm 2^18 (2^19 - 1), run in a small
+    # process.
+    got_scanned, got_norms, peak = run_fresh(-7, bound)
+    assert (got_scanned, got_norms) == (scanned, norms)
+    assert peak < peak_mib * 1024
 
 
 def test_iroot():
