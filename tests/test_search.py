@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import time
 from bisect import bisect_right
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from quadperfect import (
 )
 from quadperfect.primes import PrimeClass, _classify, _iroot, factor_rational
 from quadperfect import search
+from quadperfect.divisor_functions import geo
 from quadperfect.search import _element_count
 
 from conftest import ALL_D, NORM2_D, element_count_hyperbola, norm_ball_brute
@@ -212,9 +215,71 @@ def delta_table(d: int) -> list[tuple[QuadInt, int, int]]:
     return [(z, delta(2, z), delta(4, z)) for z in ball(Ring(d), 3000)]
 
 
+@functools.cache
+def index_norms(d: int, h: int, bound: int) -> dict[tuple[int, int], list[int]]:
+    """Each index (a, b), in lowest terms, of an element of norm 1 < N <=
+    bound, mapped to the sorted norms that carry it.  A norm's delta values
+    are built prime by prime over a smallest-prime-factor sieve, from the
+    local factors _hits_of_norm uses: the set of geo(q, r) * geo(q, e - r)
+    at a split p^e with q = p^h, geo(p^h, e) at a ramified p^e and
+    geo(p^2h, e / 2) at an inert p^e, e even (no norm otherwise)."""
+    rg = Ring(d)
+    spf = list(range(bound + 1))
+    for p in range(2, math.isqrt(bound) + 1):
+        if spf[p] == p:
+            for k in range(p * p, bound + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    sets: list[set[int] | None] = [None, {1}]
+    for N in range(2, bound + 1):
+        p, e, r = spf[N], 0, N
+        while r % p == 0:
+            r, e = r // p, e + 1
+        c = _classify(p, rg)
+        if sets[r] is None or (c is PrimeClass.INERT and e % 2):
+            sets.append(None)
+            continue
+        if c is PrimeClass.SPLIT:
+            q = p**h
+            fs = {geo(q, k) * geo(q, e - k) for k in range(e // 2 + 1)}
+        elif c is PrimeClass.RAMIFIED:
+            fs = {geo(p**h, e)}
+        else:
+            fs = {geo(p ** (2 * h), e // 2)}
+        sets.append({v * f for v in sets[r] for f in fs})
+    out: dict[tuple[int, int], list[int]] = {}
+    for N in range(2, bound + 1):
+        for v in sets[N] or ():
+            g = math.gcd(v, N**h)
+            out.setdefault((v // g, N**h // g), []).append(N)
+    return out
+
+
 class TestCountAndWalk:
     """The lattice element count, the walk's pruning bound, its leaves, the
     primes it classifies and its hits, each against a direct computation."""
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_rational_targets(self, rg, h):
+        # The walk's pruning holds for any rational target t >= 1, and
+        # rational targets hit far more often than integers: per ring and h,
+        # 20 indices t = a / b of elements of norm <= bound, drawn with seed
+        # 1600 * h - d, each scanned in full and over odd norms at 3000 and
+        # 3 * 10^4.  The walk must return exactly the norms carrying t.
+        table = index_norms(rg.d, h, 3 * 10**4)
+        rnd = random.Random(1600 * h - rg.d)
+        for bound in (3000, 3 * 10**4):
+            keys = sorted(k for k, norms in table.items() if norms[0] <= bound)
+            for a, b in rnd.sample(keys, 20):
+                t = a if b == 1 else Fraction(a, b)
+                for odd_only in (False, True):
+                    got = sorted(search._scan(rg, 2 * h, t, bound, odd_only))
+                    want = [
+                        N
+                        for N in table[a, b]
+                        if N <= bound and (N % 2 or not odd_only)
+                    ]
+                    assert got == want, (t, bound, odd_only)
 
     def test_element_count(self, rg):
         norms = [z.norm() for z, _, _ in delta_table(rg.d)]
