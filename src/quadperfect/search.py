@@ -10,8 +10,10 @@ product of geometric sums over z's prime factorization, each element's
 delta follows from those (r, e - r) and the ramified and inert exponents
 alone, in exact integer arithmetic.  A depth-first walk over the norms,
 each node holding only its norm and its elements' delta values, finds
-its primes as it first reaches them, prunes every subtree where no index
-can reach t and returns the norms that hit.
+its primes as it first reaches them and returns the norms that hit.  It
+drops a delta value when the index its cofactor would need is out of
+reach by size, or has a denominator that no cofactor's norm can clear,
+and prunes every subtree where no value is left.
 Each hit norm is factored again to build its elements, and every hit is
 re-validated through the naive divisor sum before it is reported.
 """
@@ -134,27 +136,41 @@ def _hits_of_norm(rg: Ring, N: int, h: int, t: int) -> list[QuadInt]:
 
 
 def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
-    """The norms of the hits, unsorted.
+    """The norms of the hits, unsorted; t may be any rational >= 1.
 
     A depth-first walk over norms m * p^e, primes in increasing order, that
     opens a child only where m * p^2 <= bound; an inert prime enters with
     even exponents only, so every node is a norm.  A node carries m, the
     index in the prime table of s, the next prime after m's largest (2, or
-    3 in an odd-norm scan), and the delta values of m's elements, and
-    reports m when one is t * m^h.  Primes above sqrt(bound / m) end norms
-    m * p with no children, tested in closed form; an inert p is skipped
-    there, as m * p is no norm.  The table grows as the walk first reaches
-    each prime, with the steps through it (q^k and the delta factors).
+    3 in an odd-norm scan), the delta values of m's elements and the product
+    of the table's primes below s, and reports m when one is t * m^h.
+    Primes above sqrt(bound / m) end norms m * p with no children, tested
+    in closed form; an inert p is skipped there, as m * p is no norm.  The
+    table grows as the walk first reaches each prime, with the steps
+    through it (q^k and the delta factors).
 
-    Pruning.  Going from m to m * M multiplies an element's index v / m^h
-    by its cofactor's, a product of ratios geo(q^h, k) / q^(hk), k >= 1,
-    each in (1, q^h / (q^h - 1)); a prime power p^e of M gives at most
-    min(e, 2) <= e of them, with q = p, or p^2 for inert p, so q >= s.  M
-    has at most w = floor(log_s(bound / m)) prime factors, so a descendant
-    can hit only through a v with v < t * m^h < v * (s^h / (s^h - 1))^w.
-    Each node keeps only those v and returns when none is left.  The child
-    loop stops at the first p where max(v) fails the test with s = p; the
-    bound falls as p grows, so no later child can hit either."""
+    Pruning.  A descendant of m is m * M, cap = bound // m >= M > 1, and
+    its hits are the elements x * y with delta(x) = v one of m's values and
+    y of norm M, coprime to x, whose primes lie above primes >= s; such a
+    y has index(y) = delta(y) / M^h = t * m^h / v.
+    - Magnitude.  index(y) is a product of ratios geo(q^h, k) / q^(hk),
+      k >= 1, each in (1, q^h / (q^h - 1)); a prime power p^e of M gives
+      at most min(e, 2) <= e of them, with q = p, or p^2 for inert p, so
+      q >= s.  M has at most w = floor(log_s(cap)) prime factors, so y
+      exists only if v < t * m^h < v * (s^h / (s^h - 1))^w.  The child
+      loop stops at the first p where max(v) fails this with s = p; the
+      bound falls as p grows, so no later child can hit either.
+    - The denominator lemma, the factor-chain argument of odd perfect
+      number searches (Brent, Cohen and te Riele, Math. Comp. 57, 1991).
+      Let t * m^h / v = a / b in lowest terms.  Then b * delta(y) =
+      a * M^h, and b is prime to a, so b divides M^h: every prime of b
+      divides M.  Hence (a) v needs b <= cap^h, as M <= cap; (c) b has no
+      prime below s, as M has none, nor 2 in an odd-norm scan, where M
+      is odd; and (b) once the child loop has visited every child through
+      p, every descendant left has M prime to p, so v needs b prime to p,
+      and the loop stops when no v is left.
+    Each node keeps only the v that pass the magnitude test, (a) and (c),
+    and returns when none is left."""
     h = n // 2
     norms = []
     walk = []  # (p, step table) in order; it always holds every node's start
@@ -180,7 +196,7 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
             k, qk = k + 1, qk * q
         walk.append((p, table))
 
-    def visit(m, start, deltas, w):
+    def visit(m, start, deltas, w, below):
         # w is at least floor(log_s(cap)) on entry: the parent's value.
         s = walk[start][0]
         cap = bound // m
@@ -190,20 +206,28 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
         while s**w > cap:
             w -= 1
         lo, hi = tm * (s**h - 1) ** w, s ** (h * w)
-        deltas = [v for v in deltas if lo < v * hi and v < tm]
-        if not deltas:
+        # dens maps each v still kept to b, the denominator of t * m^h / v;
+        # for an integer t, tm's denominator is 1 and b is v // gcd(tm, v).
+        a, c, caph = tm.numerator, tm.denominator, cap**h
+        dens = {}
+        for v in deltas:
+            if lo < v * hi and v < tm:
+                b = c * v // math.gcd(a, c * v)
+                if b <= caph and math.gcd(b, below) == 1:
+                    dens[v] = b
+        if not dens:
             return
         # A leaf prime p multiplies each delta value v of m by 1 + p^h, and
         # v * (1 + p^h) = t * (m * p)^h solves to p^h = v / (t * m^h - v).
         plo = max(s - 1, math.isqrt(cap))
-        for v in deltas:
+        for v in dens:
             ph, rem = divmod(v, tm - v)
             if not rem:
                 p = _iroot(ph, h)
                 if plo < p <= cap and p**h == ph and is_prime(p):
                     if _classify(p, rg) is not PrimeClass.INERT:
                         norms.append(m * p)
-        top = max(deltas)
+        top = max(dens)
         for j in count(start):
             p, table = walk[j]
             while p**w > cap:
@@ -213,13 +237,18 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
                 break
             if j + 1 == len(walk):
                 grow()  # the children start from walk[j + 1]
+            below *= p
             for qk, fs in table:
                 if qk > cap:
                     break
-                visit(m * qk, j + 1, {v * f for v in deltas for f in fs}, w)
+                visit(m * qk, j + 1, {v * f for v in dens for f in fs}, w, below)
+            dens = {v: b for v, b in dens.items() if b % p}
+            if not dens:
+                break
+            top = max(dens)
 
     grow()
-    visit(1, 0, {1}, bound.bit_length())
+    visit(1, 0, {1}, bound.bit_length(), 2 if odd_only else 1)
     return norms
 
 

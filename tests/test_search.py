@@ -26,7 +26,13 @@ from quadperfect import (
     search_odd_norm,
     search_perfect,
 )
-from quadperfect.primes import PrimeClass, _classify, _iroot, factor_rational
+from quadperfect.primes import (
+    PrimeClass,
+    _classify,
+    _iroot,
+    factor_rational,
+    is_prime,
+)
 from quadperfect import search
 from quadperfect.divisor_functions import geo
 from quadperfect.search import _element_count
@@ -307,12 +313,15 @@ class TestCountAndWalk:
     def test_pruning_bound(self, rg):
         # An element y of norm 1 < M <= 2000 whose primes are all >= s has
         # 1 < delta(2h, y) / M^h < (s^h / (s^h - 1))^w for w = floor(log_s(M)),
-        # the least w that any cap >= M gives.
+        # the least w that any cap >= M gives.  The denominator b of that
+        # index divides M^h and, as the walk tests it by a gcd with the
+        # product of the primes below s, has no prime below s.
+        primes = [p for p in range(2, 2001) if is_prime(p)]
         for z, *deltas in delta_table(rg.d):
             M = z.norm()
             if not 1 < M <= 2000:
                 continue
-            least = next(p for p in range(2, M + 1) if M % p == 0)
+            least = next(p for p in primes if M % p == 0)
             for h, dv in zip((1, 2), deltas):
                 assert dv > M**h, z
                 for s in range(2, min(30, least) + 1):
@@ -320,6 +329,12 @@ class TestCountAndWalk:
                     while s ** (w + 1) <= M:
                         w += 1
                     assert dv * (s**h - 1) ** w < M**h * s ** (h * w), (z, s, h)
+                b = Fraction(dv, M**h).denominator
+                assert M**h % b == 0, (z, h)
+                below = 1
+                for s in primes[: primes.index(least) + 1]:
+                    assert math.gcd(b, below) == 1, (z, s, h)
+                    below *= s
 
     def test_scan_returns_norms(self, rg):
         # An inert leaf prime p makes m * p no norm; the walk skips it.
@@ -344,6 +359,32 @@ class TestCountAndWalk:
         monkeypatch.setattr(search, "_classify", counting)
         assert search._scan(Ring(-7), 4, 2, 10**12, False) == []
         assert len(calls) < 100
+
+    def test_denominator_rules_prune(self, monkeypatch):
+        # Rules (a) and (c) of the denominator lemma cut the delta values
+        # that reach the leaf test's integer root; rule (b) ends child loops
+        # early, so the walk classifies fewer primes.  At 10^12 the walk
+        # takes 21-22 roots and 1031 classifications in each ring here;
+        # without (a) it takes 40-41 roots, without (c) 28-59 and without
+        # (b) 1824 classifications, as it did before the lemma.
+        roots, classes = [], []
+
+        def counting_root(x, k):
+            roots.append(x)
+            return _iroot(x, k)
+
+        def counting_class(p, rg):
+            classes.append(p)
+            return _classify(p, rg)
+
+        monkeypatch.setattr(search, "_iroot", counting_root)
+        monkeypatch.setattr(search, "_classify", counting_class)
+        for d in NORM2_D:
+            roots.clear()
+            classes.clear()
+            search._scan(Ring(d), 2, 2, 10**12, False)
+            assert len(roots) <= 25, d
+            assert len(classes) < 1200, d
 
     def test_hits_of_norm(self, rg):
         # No element has a norm N <= 3000 outside the table.  The t = 1 there
@@ -421,29 +462,37 @@ def test_walk_grid():
     assert walk_grid() == json.loads(WALK_GRID.read_text())
 
 
-def run_fresh(d: int, bound: int) -> tuple[int, set[int], int]:
-    """search_perfect(Ring(d), 2, 2, bound) in a fresh interpreter: the
-    elements scanned, the hit norms and the child's peak RSS in KiB.
+def fresh_lines(code: str) -> list[str]:
+    """The lines code prints in a fresh interpreter with src on the path,
+    then one more: that process's peak RSS in KiB.
 
     The peak is VmHWM, not ru_maxrss: Linux carries the ru_maxrss of the
     process that forks the child across exec, so a child of the test
     runner reports at least the runner's own peak."""
-    code = (
-        "from quadperfect import Ring, search_perfect\n"
-        f"rep = search_perfect(Ring({d}), 2, 2, {bound})\n"
-        "print(rep.elements_scanned, *sorted(z.norm() for z in rep.hits))\n"
-        "print(next(s for s in open('/proc/self/status') if 'VmHWM' in s))\n"
+    code += (
+        "print(next(s for s in open('/proc/self/status')"
+        " if 'VmHWM' in s).split()[1])\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
-    ).stdout.split("\n")
-    scanned, *norms = map(int, out[0].split())
-    return scanned, set(norms), int(out[1].split()[1])
+    ).stdout.splitlines()
+
+
+def run_fresh(d: int, bound: int) -> tuple[int, set[int], int]:
+    """search_perfect(Ring(d), 2, 2, bound) in a fresh interpreter: the
+    elements scanned, the hit norms and the child's peak RSS in KiB."""
+    out, peak = fresh_lines(
+        "from quadperfect import Ring, search_perfect\n"
+        f"rep = search_perfect(Ring({d}), 2, 2, {bound})\n"
+        "print(rep.elements_scanned, *sorted(z.norm() for z in rep.hits))\n"
+    )
+    scanned, *norms = map(int, out.split())
+    return scanned, set(norms), int(peak)
 
 
 @pytest.mark.parametrize(
@@ -463,6 +512,18 @@ def test_search_fresh_process(bound, scanned, norms, peak_mib):
     got_scanned, got_norms, peak = run_fresh(-7, bound)
     assert (got_scanned, got_norms) == (scanned, norms)
     assert peak < peak_mib * 1024
+
+
+def test_scan_memory_fresh_process():
+    # Rule (c) keeps one product of the primes below s per node on the
+    # current path, not one per prefix of the prime table, so the walk at
+    # 10^16 runs in a small process.
+    (peak,) = fresh_lines(
+        "from quadperfect import Ring\n"
+        "from quadperfect.search import _scan\n"
+        "_scan(Ring(-2), 2, 2, 10**16, False)\n"
+    )
+    assert int(peak) < 32 * 1024
 
 
 def test_iroot():
