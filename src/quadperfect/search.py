@@ -208,11 +208,11 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
         lo, hi = tm * (s**h - 1) ** w, s ** (h * w)
         # dens maps each v still kept to b, the denominator of t * m^h / v;
         # for an integer t, tm's denominator is 1 and b is v // gcd(tm, v).
-        a, c, caph = tm.numerator, tm.denominator, cap**h
+        num, den, caph = tm.numerator, tm.denominator, cap**h
         dens = {}
         for v in deltas:
             if lo < v * hi and v < tm:
-                b = c * v // math.gcd(a, c * v)
+                b = den * v // math.gcd(num, den * v)
                 if b <= caph and math.gcd(b, below) == 1:
                     dens[v] = b
         if not dens:
