@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--odd-norm",
         action="store_true",
-        help="restrict to odd norms (forces n=2, t=2) and verify hits",
+        help="restrict to odd norms (n=2, t=2 only) and verify hits",
     )
     ver = common("verify", "structural checks", _cmd_verify, elem=True)
     ver.add_argument("--theorem", required=True, choices=THEOREM_IDS, help="check id")
@@ -273,6 +273,10 @@ def _attach_elem(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_elem(sys.argv[1:] if argv is None else argv))
+    if getattr(args, "odd_norm", False) and (args.n, args.t) != (2, 2):
+        parser.error(
+            f"--odd-norm searches n=2, t=2 only, got --n {args.n} --t {args.t}"
+        )
     try:
         obj, lines = args.run(args)
     except (ValueError, ArithmeticError) as exc:

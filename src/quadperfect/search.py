@@ -10,7 +10,8 @@ product of geometric sums over z's prime factorization, each element's
 delta follows from those (r, e - r) and the ramified and inert exponents
 alone, in exact integer arithmetic.  A depth-first walk over the norms,
 each node holding only its norm and its elements' delta values, finds
-its primes as it first reaches them and returns the norms that hit.  It
+its primes as it first reaches them, keeps only each prime and its
+class, and returns the norms that hit.  It
 drops a delta value when the index its cofactor would need is out of
 reach by size, or has a denominator that no cofactor's norm can clear,
 and prunes every subtree where no value is left.
@@ -141,13 +142,13 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
     A depth-first walk over norms m * p^e, primes in increasing order, that
     opens a child only where m * p^2 <= bound; an inert prime enters with
     even exponents only, so every node is a norm.  A node carries m, the
-    index in the prime table of s, the next prime after m's largest (2, or
+    index in the prime list of s, the next prime after m's largest (2, or
     3 in an odd-norm scan), the delta values of m's elements and the product
-    of the table's primes below s, and reports m when one is t * m^h.
+    of the list's primes below s, and reports m when one is t * m^h.
     Primes above sqrt(bound / m) end norms m * p with no children, tested
     in closed form; an inert p is skipped there, as m * p is no norm.  The
-    table grows as the walk first reaches each prime, with the steps
-    through it (q^k and the delta factors).
+    list holds each prime with its class, and grows as the walk first
+    reaches each prime; each child loop works out its own steps.
 
     Pruning.  A descendant of m is m * M, cap = bound // m >= M > 1, and
     its hits are the elements x * y with delta(x) = v one of m's values and
@@ -173,28 +174,13 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
     and returns when none is left."""
     h = n // 2
     norms = []
-    walk = []  # (p, step table) in order; it always holds every node's start
+    walk = []  # (p, chi(p)) in order; it always holds every node's start
 
     def grow():
-        # Append the next prime p and its table: (q^k, the delta factors) for
-        # each step through p with q^k <= bound, where the primes above p
-        # have norm q = p, or p^2 when p is inert.
         p = walk[-1][0] + 1 if walk else 3 if odd_only else 2
         while not is_prime(p):
             p += 1
-        c = _CHI[_classify(p, rg)]
-        q = p * p if c < 0 else p
-        qh = q**h
-        table = []
-        k, qk = 1, q
-        while qk <= bound:
-            if c > 0:
-                fs = {geo(qh, r) * geo(qh, k - r) for r in range(k // 2 + 1)}
-            else:
-                fs = (geo(qh, k),)
-            table.append((qk, fs))
-            k, qk = k + 1, qk * q
-        walk.append((p, table))
+        walk.append((p, _CHI[_classify(p, rg)]))
 
     def visit(m, start, deltas, w, below):
         # w is at least floor(log_s(cap)) on entry: the parent's value.
@@ -229,7 +215,7 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
                         norms.append(m * p)
         top = max(dens)
         for j in count(start):
-            p, table = walk[j]
+            p, c = walk[j]
             while p**w > cap:
                 w -= 1
             ph = p**h
@@ -238,10 +224,21 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
             if j + 1 == len(walk):
                 grow()  # the children start from walk[j + 1]
             below *= p
-            for qk, fs in table:
-                if qk > cap:
-                    break
+            # The primes above p have norm q = p, or p^2 when p is inert; the
+            # step to m * q^k multiplies by g_r * g_(k-r) for a split p, one
+            # factor per share (r, k - r), and by g_k otherwise, where g_k =
+            # geo(q^h, k) = g_(k-1) * q^h + 1.
+            q = p * p if c < 0 else p
+            qh, qk, gs = q**h, q, [1]
+            while qk <= cap:
+                k = len(gs)
+                gs.append(gs[-1] * qh + 1)
+                if c > 0:
+                    fs = {gs[r] * gs[k - r] for r in range(k // 2 + 1)}
+                else:
+                    fs = (gs[k],)
                 visit(m * qk, j + 1, {v * f for v in dens for f in fs}, w, below)
+                qk *= q
             dens = {v: b for v, b in dens.items() if b % p}
             if not dens:
                 break

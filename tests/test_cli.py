@@ -166,6 +166,20 @@ class TestSearch:
         assert obj["odd_norm"] is True
         assert obj["hits"] == []
 
+    @pytest.mark.parametrize("extra", [["--t", "3"], ["--n", "4"]])
+    def test_odd_norm_rejects_other_n_t(self, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--d", "-1", "--bound", "100", "--odd-norm", *extra])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "qp: error: --odd-norm searches n=2, t=2 only" in err
+
+    def test_odd_norm_explicit_n2_t2(self, capsys):
+        argv = ["search", "--d", "-1", "--bound", "100", "--odd-norm"]
+        obj = run_json(capsys, *argv, "--n", "2", "--t", "2")
+        assert obj["odd_norm"] is True and (obj["n"], obj["t"]) == (2, 2)
+
     def test_deterministic_modulo_wall_time(self, capsys):
         a = run_json(capsys, "search", "--d", "-11", "--bound", "4000")
         b = run_json(capsys, "search", "--d", "-11", "--bound", "4000")

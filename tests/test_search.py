@@ -462,9 +462,10 @@ def test_walk_grid():
     assert walk_grid() == json.loads(WALK_GRID.read_text())
 
 
-def fresh_lines(code: str) -> list[str]:
+def fresh_lines(code: str, timeout: float | None = None) -> list[str]:
     """The lines code prints in a fresh interpreter with src on the path,
-    then one more: that process's peak RSS in KiB.
+    then one more: that process's peak RSS in KiB.  The run fails after
+    timeout seconds, if given.
 
     The peak is VmHWM, not ru_maxrss: Linux carries the ru_maxrss of the
     process that forks the child across exec, so a child of the test
@@ -480,6 +481,7 @@ def fresh_lines(code: str) -> list[str]:
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
+        timeout=timeout,
     ).stdout.splitlines()
 
 
@@ -516,14 +518,27 @@ def test_search_fresh_process(bound, scanned, norms, peak_mib):
 
 def test_scan_memory_fresh_process():
     # Rule (c) keeps one product of the primes below s per node on the
-    # current path, not one per prefix of the prime table, so the walk at
+    # current path, not one per prefix of the prime list, and the walk keeps
+    # no steps per prime, only the prime and its class, so the walk at
     # 10^16 runs in a small process.
     (peak,) = fresh_lines(
         "from quadperfect import Ring\n"
         "from quadperfect.search import _scan\n"
         "_scan(Ring(-2), 2, 2, 10**16, False)\n"
     )
-    assert int(peak) < 32 * 1024
+    assert int(peak) < 24 * 1024
+
+
+def test_large_n_fresh_process():
+    # A child loop builds the geometric sums of p's steps only up to
+    # bound // m, one multiplication each, so a huge n costs no more than
+    # the few nodes that the magnitude test lets open.
+    out, _ = fresh_lines(
+        "from quadperfect import Ring, search_perfect\n"
+        "print(len(search_perfect(Ring(-7), 10**6, 2, 1000).hits))\n",
+        timeout=10,
+    )
+    assert out == "0"
 
 
 def test_iroot():
