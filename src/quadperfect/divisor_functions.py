@@ -37,28 +37,33 @@ def _check_even(n: int) -> int:
     return n // 2
 
 
-def divisors(z: QuadInt, fac: QuadFactorization | None = None) -> list[QuadInt]:
-    """One sector-canonical divisor per associate class, sorted by
-    (norm, a, b).  fac, when given, is factor(z).
+def _divisor_products(fac: QuadFactorization) -> list[QuadInt]:
+    """One divisor per associate class of fac's element, each a product of
+    its prime powers, in no particular order.
 
     The list grows prime by prime: for pi^e it gains the earlier divisors
-    times pi, pi^2, ..., pi^e, so each divisor costs one product.  The
-    associates are taken once, at the end."""
-    if fac is None:
-        fac = factor(z)
+    times pi, pi^2, ..., pi^e, so each divisor costs one product."""
     count = 1
     for _, e in fac.factors:
         count *= e + 1
         if count > DIVISOR_COUNT_CAP:
             raise TooLarge(f"more than {DIVISOR_COUNT_CAP} divisor classes")
-    out = [z.ring.one()]
+    out = [fac.ring.one()]
     for pi, e in fac.factors:
         layer = out
         out = list(out)
         for _ in range(e):
             layer = [x * pi for x in layer]
             out += layer
-    out = [x.canonical_associate() for x in out]
+    return out
+
+
+def divisors(z: QuadInt, fac: QuadFactorization | None = None) -> list[QuadInt]:
+    """One sector-canonical divisor per associate class, sorted by
+    (norm, a, b).  fac, when given, is factor(z)."""
+    if fac is None:
+        fac = factor(z)
+    out = [x.canonical_associate() for x in _divisor_products(fac)]
     out.sort(key=QuadInt.sort_key)
     return out
 
@@ -87,9 +92,11 @@ def delta_naive(
         raise ZeroElement("delta is undefined at zero")
     if z.norm() > NAIVE_NORM_CAP:
         raise TooLarge(f"naive divisor sum capped at norm {NAIVE_NORM_CAP}")
+    # Units do not change norms, so the raw products serve as the classes.
+    xs = _divisor_products(factor(z) if fac is None else fac)
     if h > 0:
-        return sum(x.norm() ** h for x in divisors(z, fac))
-    return sum(Fraction(1, x.norm() ** -h) for x in divisors(z, fac))
+        return sum(x.norm() ** h for x in xs)
+    return sum(Fraction(1, x.norm() ** -h) for x in xs)
 
 
 def abundancy_index(n: int, z: QuadInt) -> Fraction:

@@ -337,26 +337,27 @@ class QuadFactorization(Record):
         }
 
 
-def factor(z: QuadInt) -> QuadFactorization:
-    """Unique factorization of a nonzero element."""
-    if z.is_zero():
-        raise ZeroElement("cannot factor the zero element")
+def _norm_primes(n: int, rg: Ring) -> list[tuple[int, int, tuple[QuadInt, ...]]]:
+    """(p, e, _primes_above(p)) for each p^e exactly dividing n >= 1."""
+    return [(p, e, _primes_above(p, rg)) for p, e in factor_rational(n)]
+
+
+def _factor_element(z: QuadInt, primes) -> QuadFactorization:
+    """The factorization of a nonzero z, given _norm_primes(N(z), z.ring)."""
     rg = z.ring
     factors: list[tuple[QuadInt, int]] = []
-    for p, e in factor_rational(z.norm()):
-        cls = _classify(p, rg)
-        if cls is PrimeClass.INERT:
-            # Inert primes contribute squares to the norm.
-            assert e % 2 == 0, (z, p, e)
-            factors.append((rg.element(p), e // 2))
-        elif cls is PrimeClass.RAMIFIED:
-            factors.append((_primes_above(p, rg)[0], e))
-        else:
+    for p, e, above in primes:
+        if len(above) == 2:
             # The conjugate prime takes what pi leaves of p^e; were r wrong,
             # the unit check below would fail.
-            pi, pibar = _primes_above(p, rg)
+            pi, pibar = above
             r = _valuation_unchecked(pi, z)
             factors += [(x, k) for x, k in ((pi, r), (pibar, e - r)) if k]
+        else:
+            # An inert prime has norm p^2 and contributes a square to N(z).
+            k, odd = divmod(e, 1 if above[0].norm() == p else 2)
+            assert not odd, (z, p, e)
+            factors.append((above[0], k))
     factors.sort(key=lambda fe: fe[0].sort_key())
     rest = rg.one()
     for pi, e in factors:
@@ -364,3 +365,10 @@ def factor(z: QuadInt) -> QuadFactorization:
     unit = z.exact_divide(rest)
     assert unit is not None and unit.is_unit(), z
     return QuadFactorization(rg, unit, tuple(factors))
+
+
+def factor(z: QuadInt) -> QuadFactorization:
+    """Unique factorization of a nonzero element."""
+    if z.is_zero():
+        raise ZeroElement("cannot factor the zero element")
+    return _factor_element(z, _norm_primes(z.norm(), z.ring))

@@ -100,9 +100,10 @@ class QuadInt:
     __slots__ = ("ring", "a", "b")
 
     def __init__(self, rg: Ring, a: int, b: int) -> None:
-        object.__setattr__(self, "ring", rg)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        # The slot descriptors' own setters bypass __setattr__ below.
+        _set_ring(self, rg)
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadInt is immutable")
@@ -170,8 +171,9 @@ class QuadInt:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def conjugate(self) -> "QuadInt":
@@ -278,3 +280,6 @@ class QuadInt:
 
     def __hash__(self) -> int:
         return hash((self.ring.d, self.a, self.b))
+
+
+_set_ring, _set_a, _set_b = (vars(QuadInt)[name].__set__ for name in QuadInt.__slots__)

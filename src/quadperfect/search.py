@@ -14,9 +14,13 @@ its primes as it first reaches them, keeps only each prime and its
 class, and returns the norms that hit.  It
 drops a delta value when the index its cofactor would need is out of
 reach by size, or has a denominator that no cofactor's norm can clear,
-and prunes every subtree where no value is left.
-Each hit norm is factored again to build its elements, and every hit is
-re-validated through the naive divisor sum before it is reported.
+and prunes every subtree where no value is left; a child loop tests each
+child for a hit itself, and opens it only while some of its values are
+below the target and its norm leaves room for one more prime.
+Each hit norm is factored once, into rational primes and the primes above
+them.  That builds the norm's elements, and re-validates each of them:
+its split exponents by exact division, its unit by the last division, and
+delta by the naive divisor sum, before it is reported.
 """
 
 from __future__ import annotations
@@ -31,10 +35,9 @@ from .primes import (
     PrimeClass,
     QuadFactorization,
     _classify,
+    _factor_element,
     _iroot,
-    _primes_above,
-    factor,
-    factor_rational,
+    _norm_primes,
     is_prime,
 )
 from .records import Record
@@ -104,14 +107,16 @@ def _element_count(rg: Ring, bound: int) -> int:
     return (r0 - (r0 & 1) + 2 * rows) // len(rg.units())
 
 
-def _hits_of_norm(rg: Ring, N: int, h: int, t: int) -> list[QuadInt]:
+def _hits_of_norm(rg: Ring, N: int, h: int, t: int, primes=None) -> list[QuadInt]:
     """The canonical z of norm N with delta(2h, z) = t * N^h; [] when an
     inert prime divides N to an odd power, so N is not a norm.  Each z is
     pi^k at each ramified or inert p, N(pi)^k = p^e, times pi^r * pibar^(e-r)
-    at each split p^e, for one r in 0..e."""
+    at each split p^e, for one r in 0..e.  primes, when given, is
+    _norm_primes(N, rg)."""
+    if primes is None:
+        primes = _norm_primes(N, rg)
     fixed, fixed_delta, choices = rg.one(), 1, []
-    for p, e in factor_rational(N):
-        above = _primes_above(p, rg)
+    for p, e, above in primes:
         if len(above) == 2:
             pi, pibar = above
             q = p**h
@@ -144,11 +149,13 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
     even exponents only, so every node is a norm.  A node carries m, the
     index in the prime list of s, the next prime after m's largest (2, or
     3 in an odd-norm scan), the delta values of m's elements and the product
-    of the list's primes below s, and reports m when one is t * m^h.
-    Primes above sqrt(bound / m) end norms m * p with no children, tested
-    in closed form; an inert p is skipped there, as m * p is no norm.  The
-    list holds each prime with its class, and grows as the walk first
-    reaches each prime; each child loop works out its own steps.
+    of the list's primes below s.  The parent's child loop reports each
+    child m * q^k when one of its values is t * (m * q^k)^h, before it
+    decides whether to open it.  Primes above sqrt(bound / m) end norms
+    m * p with no children, tested in closed form; an inert p is skipped
+    there, as m * p is no norm.  The list holds each prime with its class,
+    and grows as the walk first reaches each prime; each child loop works
+    out its own steps.
 
     Pruning.  A descendant of m is m * M, cap = bound // m >= M > 1, and
     its hits are the elements x * y with delta(x) = v one of m's values and
@@ -160,7 +167,13 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
       q >= s.  M has at most w = floor(log_s(cap)) prime factors, so y
       exists only if v < t * m^h < v * (s^h / (s^h - 1))^w.  The child
       loop stops at the first p where max(v) fails this with s = p; the
-      bound falls as p grows, so no later child can hit either.
+      bound falls as p grows, so no later child can hit either.  At the
+      root, where m = v = 1, a t >= 2 meets this bound only if s^h <
+      2w + 1 for any w at least the count of M's prime factors: were
+      s^h >= 2w + 1, Bernoulli's inequality would give (s^h / (s^h -
+      1))^w <= (s^h - 1) / (s^h - 1 - w) <= 2 <= t.  The root tests this
+      with w the bit length of bound and s^h >= 2^(h * (bitlen(s) - 1)),
+      so a huge n builds no power of s^h.
     - The denominator lemma, the factor-chain argument of odd perfect
       number searches (Brent, Cohen and te Riele, Math. Comp. 57, 1991).
       Let t * m^h / v = a / b in lowest terms.  Then b * delta(y) =
@@ -170,10 +183,22 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
       is odd; and (b) once the child loop has visited every child through
       p, every descendant left has M prime to p, so v needs b prime to p,
       and the loop stops when no v is left.
+    - The break.  The child m * q^k has the values v * f over the shares
+      f of q^k, and index v * f / (m * q^k)^h = (v / m^h) (f / q^(hk)).
+      Each f / q^(hk) is at least g_k / q^(hk) = 1 + q^-h + ... + q^-(hk),
+      as g_r * g_(k-r) holds every term of g_k; that least share index
+      grows strictly with k, and a child's descendants only multiply its
+      index by ratios above 1.  So once every value of m * q^k is at least
+      t * (m * q^k)^h, only m * q^k itself can hit, and neither its
+      descendants nor any m * q^j, j > k, nor theirs: the k-loop stops.
+    - No room for a prime.  A child m' = m * q^k whose cap' = bound // m'
+      is below the next prime p' after p opens no child, which needs
+      m' * p'^2 <= bound, and tests no leaf, which needs a prime in
+      [p', cap'].  So it is not opened; its own hit test is the parent's.
     Each node keeps only the v that pass the magnitude test, (a) and (c),
     and returns when none is left."""
     h = n // 2
-    norms = []
+    norms = [1] if t == 1 else []
     walk = []  # (p, chi(p)) in order; it always holds every node's start
 
     def grow():
@@ -187,8 +212,6 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
         s = walk[start][0]
         cap = bound // m
         tm = t * m**h
-        if tm in deltas:
-            norms.append(m)
         while s**w > cap:
             w -= 1
         lo, hi = tm * (s**h - 1) ** w, s ** (h * w)
@@ -224,20 +247,28 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
             if j + 1 == len(walk):
                 grow()  # the children start from walk[j + 1]
             below *= p
+            room = walk[j + 1][0]
             # The primes above p have norm q = p, or p^2 when p is inert; the
             # step to m * q^k multiplies by g_r * g_(k-r) for a split p, one
             # factor per share (r, k - r), and by g_k otherwise, where g_k =
-            # geo(q^h, k) = g_(k-1) * q^h + 1.
+            # geo(q^h, k) = g_(k-1) * q^h + 1.  tq is t * (m * q^k)^h.
             q = p * p if c < 0 else p
-            qh, qk, gs = q**h, q, [1]
+            qh, qk, gs, tq = q**h, q, [1], tm
             while qk <= cap:
                 k = len(gs)
                 gs.append(gs[-1] * qh + 1)
+                tq *= qh
                 if c > 0:
                     fs = {gs[r] * gs[k - r] for r in range(k // 2 + 1)}
                 else:
                     fs = (gs[k],)
-                visit(m * qk, j + 1, {v * f for v in dens for f in fs}, w, below)
+                vals = {v * f for v in dens for f in fs}
+                if tq in vals:
+                    norms.append(m * qk)
+                if min(vals) >= tq:
+                    break
+                if cap // qk >= room:
+                    visit(m * qk, j + 1, vals, w, below)
                 qk *= q
             dens = {v: b for v, b in dens.items() if b % p}
             if not dens:
@@ -245,7 +276,10 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
             top = max(dens)
 
     grow()
-    visit(1, 0, {1}, bound.bit_length(), 2 if odd_only else 1)
+    w = bound.bit_length()
+    if t >= 2 and h * (walk[0][0].bit_length() - 1) >= (2 * w + 1).bit_length():
+        return norms
+    visit(1, 0, {1}, w, 2 if odd_only else 1)
     return norms
 
 
@@ -259,11 +293,16 @@ def _validate(n: int, t: int, bound: int) -> None:
         raise ValueError(f"bound must be >= 1, got {bound}")
 
 
-def _revalidate(z: QuadInt, n: int, t: int) -> QuadFactorization:
+def _revalidate(z: QuadInt, primes, n: int, t: int) -> QuadFactorization:
     # Hits are rare; check each against a path independent of the scan that
-    # produced it.  The naive divisor sum is capped, so fall back to the
-    # exact closed form above the cap.  Returns z's factorization.
-    fac = factor(z)
+    # produced it.  It shares with _hits_of_norm only primes, that is
+    # factor_rational(N) and _primes_above(p) for each p, the same pure
+    # functions of N and p that a fresh factor(z) would call.  The rest is
+    # its own: each split exponent comes from exact division of z, the unit
+    # from the last exact_divide and is_unit, and delta from the naive sum
+    # over an explicit divisor list; that sum is capped, so above the cap
+    # the exact closed form stands in.  Returns z's factorization.
+    fac = _factor_element(z, primes)
     nz = z.norm()
     if nz <= NAIVE_NORM_CAP:
         good = delta_naive(n, z, fac) == t * nz ** (n // 2)
@@ -276,10 +315,13 @@ def _revalidate(z: QuadInt, n: int, t: int) -> QuadFactorization:
 
 def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchReport:
     start = time.perf_counter_ns()
-    norms = _scan(rg, n, t, bound, odd_only)
-    hits = [z for N in norms for z in _hits_of_norm(rg, N, n // 2, t)]
-    hits.sort(key=QuadInt.sort_key)
-    factors = [_revalidate(z, n, t) for z in hits]
+    found = []
+    for N in _scan(rg, n, t, bound, odd_only):
+        # One factorization of each hit norm serves all its hits.
+        primes = _norm_primes(N, rg)
+        for z in _hits_of_norm(rg, N, n // 2, t, primes):
+            found.append((z, _revalidate(z, primes, n, t)))
+    found.sort(key=lambda zf: zf[0].sort_key())
     scanned = _element_count(rg, bound)
     if odd_only:
         # The odd-norm ideals' zeta function is zeta_K times the inverse of
@@ -293,11 +335,11 @@ def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchRep
         n=n,
         t=t,
         norm_bound=bound,
-        hits=hits,
+        hits=[z for z, _ in found],
         elements_scanned=scanned,
         wall_time_ms=elapsed_ms,
         odd_norm=odd_only,
-        hit_factors=factors,
+        hit_factors=[fac for _, fac in found],
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from quadperfect import ADMISSIBLE_D, QuadInt, Ring, factor
-from quadperfect.primes import _classify
+from quadperfect.primes import _classify, _factor_element, factor_rational
 from quadperfect.search import _CHI
 
 settings.register_profile(
@@ -34,20 +34,34 @@ def rg(request) -> Ring:
     return Ring(request.param)
 
 
-@pytest.fixture
-def factor_calls(monkeypatch) -> list[QuadInt]:
-    """The arguments of every call to factor while the test runs, whichever
+def record_calls(monkeypatch, fn) -> list:
+    """The first argument of every call to fn while the test runs, whichever
     quadperfect module the caller looked the name up in."""
     calls = []
 
-    def counting(z):
-        calls.append(z)
-        return factor(z)
+    def counting(x, *rest):
+        calls.append(x)
+        return fn(x, *rest)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "quadperfect" and vars(module).get("factor") is factor:
-            monkeypatch.setattr(module, "factor", counting)
+        if name.split(".")[0] == "quadperfect":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def factor_calls(monkeypatch) -> list[QuadInt]:
+    """The element of every element factorization while the test runs.
+    factor and a search's revalidation of a hit both run _factor_element."""
+    return record_calls(monkeypatch, _factor_element)
+
+
+@pytest.fixture
+def factor_rational_calls(monkeypatch) -> list[int]:
+    """The argument of every call to factor_rational while the test runs."""
+    return record_calls(monkeypatch, factor_rational)
 
 
 def box_elements(rg: Ring, amax: int, bmax: int) -> list[QuadInt]:

@@ -541,6 +541,38 @@ def test_large_n_fresh_process():
     assert out == "0"
 
 
+@pytest.mark.parametrize("d,scanned", [(-1, 787), (-7, 1184)])
+def test_huge_n_fresh_process(d, scanned):
+    # The root's bit-length test prunes before any power of 2^h is built;
+    # the magnitude test alone builds 2^(h * w) with h = 5 * 10^6.
+    out, _ = fresh_lines(
+        "from quadperfect import Ring, search_perfect\n"
+        f"rep = search_perfect(Ring({d}), 10**7, 2, 1000)\n"
+        "print(len(rep.hits), rep.elements_scanned)\n",
+        timeout=5,
+    )
+    assert out == f"0 {scanned}"
+
+
+def test_share_index_grows_with_k():
+    # The walk's k-loop breaks once every value of the child m * q^k has
+    # reached t * (m * q^k)^h; that needs the least index of a share of q^k,
+    # min over r of g_r * g_(k-r) / q^(hk) for a split prime and g_k /
+    # q^(hk) otherwise, to grow strictly with k.
+    for q in range(2, 50):
+        if not is_prime(q):
+            continue
+        for h in (1, 2, 3):
+            g = [geo(q**h, k) for k in range(9)]
+            split = [
+                Fraction(min(g[r] * g[k - r] for r in range(k + 1)), q ** (h * k))
+                for k in range(9)
+            ]
+            other = [Fraction(g[k], q ** (h * k)) for k in range(9)]
+            for seq in (split, other):
+                assert all(x < y for x, y in zip(seq, seq[1:])), (q, h, seq)
+
+
 def test_iroot():
     for k in range(1, 6):
         for x in [*range(1, 3000), 10**60 - 1, 10**60, 10**60 + 1]:

@@ -428,12 +428,14 @@ class TestConjectureScan:
             ("k[2+1*w]", "0"),
         ]
 
-    def test_factors_once_per_hit(self, factor_calls):
+    def test_factors_once_per_hit(self, factor_calls, factor_rational_calls):
         # The search's revalidation factors each hit once; decompose_even
-        # reuses that factorization.
+        # reuses that factorization.  The hits share their norm's rational
+        # factorization: the hit norms are 28 and 8128.
         rep = conjecture_scan(Ring(-7), 10**4)
         assert len(rep.checks) == 6
         assert len(factor_calls) == 6
+        assert sorted(factor_rational_calls) == [28, 8128]
 
     def test_d7_counterexamples_reported(self):
         rep = conjecture_scan(Ring(-7), 10**4)
