@@ -354,7 +354,8 @@ def _factor_element(z: QuadInt, primes) -> QuadFactorization:
             r = _valuation_unchecked(pi, z)
             factors += [(x, k) for x, k in ((pi, r), (pibar, e - r)) if k]
         else:
-            # An inert prime has norm p^2 and contributes a square to N(z).
+            # A ramified prime has norm p; an inert one has norm p^2, so it
+            # contributes a square to N(z).
             k, odd = divmod(e, 1 if above[0].norm() == p else 2)
             assert not odd, (z, p, e)
             factors.append((above[0], k))
