@@ -95,6 +95,18 @@ def _cmd_factor(args):
 def _cmd_delta_index(args):
     z = _parse_elem(args)
     n = args.n
+    # For n > 0 both commands print delta, an integer of at least
+    # N(z)^(n/2); for n < 0 delta is delta(-n, z) / N(z)^(-n/2) before
+    # reduction.  Refuse before computing when a lower bound on that power's
+    # digit count, from N(z) >= 2^(bitlen - 1) and log10(2) > 0.3, is past
+    # the limit of int to str conversion; 0, or no such function, is none.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = abs(n) // 2 * (z.norm().bit_length() - 1) * 3 // 10 + 1
+    if limit and digits > limit:
+        raise TooLarge(
+            f"N(z)^{abs(n) // 2} has at least {digits} digits, "
+            f"more than the {limit} that Python will print"
+        )
     val = delta(n, z)
     obj = {f"delta{n}": str(val)}
     if n > 0:

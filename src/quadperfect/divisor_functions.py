@@ -58,12 +58,10 @@ def _divisor_products(fac: QuadFactorization) -> list[QuadInt]:
     return out
 
 
-def divisors(z: QuadInt, fac: QuadFactorization | None = None) -> list[QuadInt]:
+def divisors(z: QuadInt) -> list[QuadInt]:
     """One sector-canonical divisor per associate class, sorted by
-    (norm, a, b).  fac, when given, is factor(z)."""
-    if fac is None:
-        fac = factor(z)
-    out = [x.canonical_associate() for x in _divisor_products(fac)]
+    (norm, a, b)."""
+    out = [x.canonical_associate() for x in _divisor_products(factor(z))]
     out.sort(key=QuadInt.sort_key)
     return out
 

@@ -11,12 +11,12 @@ delta follows from those (r, e - r) and the ramified and inert exponents
 alone, in exact integer arithmetic.  A depth-first walk over the norms,
 each node holding only its norm and its elements' delta values, finds
 its primes as it first reaches them, keeps only each prime and its
-class, and returns the norms that hit.  It
-drops a delta value when the index its cofactor would need is out of
-reach by size, or has a denominator that no cofactor's norm can clear,
-and prunes every subtree where no value is left; a child loop tests each
-child for a hit itself, and opens it only while some of its values are
-below the target and its norm leaves room for one more prime.
+class, and returns the norms that hit.  A node's child loop tests each
+child for a hit itself.  It opens the child only when the child's norm
+leaves room for one more prime and some of its values are below the
+target with a denominator that a cofactor's norm can clear, and it passes
+the child only those values.  It stops at the first prime where even the
+largest value left would need an index out of reach by size.
 Each hit norm is factored once, into rational primes and the primes above
 them.  That builds the norm's elements, and re-validates each of them:
 its split exponents by exact division, its unit by the last division, and
@@ -148,8 +148,9 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
     opens a child only where m * p^2 <= bound; an inert prime enters with
     even exponents only, so every node is a norm.  A node carries m, the
     index in the prime list of s, the next prime after m's largest (2, or
-    3 in an odd-norm scan), the delta values of m's elements and the product
-    of the list's primes below s.  The parent's child loop reports each
+    3 in an odd-norm scan), the delta values of m's elements that pass the
+    filter below, each with its denominator b, and the product of the
+    list's primes below s.  The parent's child loop reports each
     child m * q^k when one of its values is t * (m * q^k)^h, before it
     decides whether to open it.  Primes above sqrt(bound / m) end norms
     m * p with no children, tested in closed form; an inert p is skipped
@@ -195,8 +196,12 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
       is below the next prime p' after p opens no child, which needs
       m' * p'^2 <= bound, and tests no leaf, which needs a prime in
       [p', cap'].  So it is not opened; its own hit test is the parent's.
-    Each node keeps only the v that pass the magnitude test, (a) and (c),
-    and returns when none is left."""
+    A parent opens a child m' only with the values of m' that pass v <
+    t * m'^h, (a) and (c), and only when one is left; the root's only value,
+    1, passes the same filter after the root's bit-length test.  The
+    magnitude test is the child loop's break, run on the largest value
+    left, first at p = s.  A smaller value that fails it is kept: it gives
+    no hit among m's descendants, so keeping it changes no result."""
     h = n // 2
     norms = [1] if t == 1 else []
     walk = []  # (p, chi(p)) in order; it always holds every node's start
@@ -207,28 +212,25 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
             p += 1
         walk.append((p, _CHI[_classify(p, rg)]))
 
-    def visit(m, start, deltas, w, below):
-        # w is at least floor(log_s(cap)) on entry: the parent's value.
-        s = walk[start][0]
-        cap = bound // m
-        tm = t * m**h
-        while s**w > cap:
-            w -= 1
-        lo, hi = tm * (s**h - 1) ** w, s ** (h * w)
-        # dens maps each v still kept to b, the denominator of t * m^h / v;
-        # for an integer t, tm's denominator is 1 and b is v // gcd(tm, v).
+    def kept(vals, tm, cap, below):
+        # Each v < t * m^h, mapped to b, the denominator of t * m^h / v, where
+        # b passes (a) and (c); for an integer t, b is v // gcd(tm, v).
         num, den, caph = tm.numerator, tm.denominator, cap**h
         dens = {}
-        for v in deltas:
-            if lo < v * hi and v < tm:
+        for v in vals:
+            if v < tm:
                 b = den * v // math.gcd(num, den * v)
                 if b <= caph and math.gcd(b, below) == 1:
                     dens[v] = b
-        if not dens:
-            return
+        return dens
+
+    def visit(m, tm, start, dens, w, below):
+        # dens is kept(m's values), tm is t * m^h and w is at least
+        # floor(log_s(cap)).
+        cap = bound // m
         # A leaf prime p multiplies each delta value v of m by 1 + p^h, and
         # v * (1 + p^h) = t * (m * p)^h solves to p^h = v / (t * m^h - v).
-        plo = max(s - 1, math.isqrt(cap))
+        plo = max(walk[start][0] - 1, math.isqrt(cap))
         for v in dens:
             ph, rem = divmod(v, tm - v)
             if not rem:
@@ -236,13 +238,12 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
                 if plo < p <= cap and p**h == ph and is_prime(p):
                     if _classify(p, rg) is not PrimeClass.INERT:
                         norms.append(m * p)
-        top = max(dens)
         for j in count(start):
             p, c = walk[j]
             while p**w > cap:
                 w -= 1
             ph = p**h
-            if w < 2 or top * ph**w <= tm * (ph - 1) ** w:
+            if w < 2 or max(dens) * ph**w <= tm * (ph - 1) ** w:
                 break
             if j + 1 == len(walk):
                 grow()  # the children start from walk[j + 1]
@@ -267,19 +268,20 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
                     norms.append(m * qk)
                 if min(vals) >= tq:
                     break
-                if cap // qk >= room:
-                    visit(m * qk, j + 1, vals, w, below)
+                if cap // qk >= room and (child := kept(vals, tq, cap // qk, below)):
+                    visit(m * qk, tq, j + 1, child, w, below)
                 qk *= q
             dens = {v: b for v, b in dens.items() if b % p}
             if not dens:
                 break
-            top = max(dens)
 
     grow()
     w = bound.bit_length()
     if t >= 2 and h * (walk[0][0].bit_length() - 1) >= (2 * w + 1).bit_length():
         return norms
-    visit(1, 0, {1}, w, 2 if odd_only else 1)
+    below = 2 if odd_only else 1
+    if root := kept({1}, t, bound, below):
+        visit(1, t, 0, root, w, below)
     return norms
 
 

@@ -16,6 +16,7 @@ vocabulary for picking a verifier.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 
 from .divisor_functions import _geo_product, abundancy_index, geo
@@ -274,24 +275,20 @@ def smallest_odd_prime_norms(rg: Ring, count: int) -> list[int]:
     require_ints(count=count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    limit = 64
-    while True:
-        norms: list[int] = []
-        p = 3
-        while p <= limit:
-            if is_prime(p):
-                cls = _classify(p, rg)
-                if cls is PrimeClass.SPLIT:
-                    norms.extend((p, p))
-                elif cls is PrimeClass.RAMIFIED:
-                    norms.append(p)
-                elif p * p <= limit:
-                    norms.append(p * p)
-            p += 2
-        if len(norms) >= count:
-            norms.sort()
-            return norms[:count]
-        limit *= 2
+    # Each odd p adds norms of at least p, so once the count-th norm is at
+    # most the next p, no later p changes the first count.
+    norms: list[int] = []
+    p = 3
+    while len(norms) < count or norms[count - 1] > p:
+        if is_prime(p):
+            cls = _classify(p, rg)
+            if cls is PrimeClass.SPLIT:
+                insort(norms, p)
+                insort(norms, p)
+            else:
+                insort(norms, p if cls is PrimeClass.RAMIFIED else p * p)
+        p += 2
+    return norms[:count]
 
 
 def lift_to_3perfect(z: QuadInt) -> QuadInt:

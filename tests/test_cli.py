@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,23 @@ class TestDeltaIndex:
             main(["index", "--d", "-1", "--elem", "9+3*w", "--n", "-2"])
         assert exc.value.code == 2
         assert "positive even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,elem", [("delta", "3"), ("index", "9+3*i")])
+    def test_unprintable_refused_at_once(self, capsys, command, elem):
+        # delta(10^8, 3) has 9^(5 * 10^7) in it, far past the digits that int
+        # to str conversion allows; computing it first would take minutes.
+        start = time.perf_counter()
+        argv = [command, "--d", "-1", "--elem", elem, "--n", "100000000"]
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("qp: error: ")
+
+    def test_printable_power_still_printed(self, capsys):
+        # delta(8000, 3) = 1 + 9^4000 has 3817 digits, under the default 4300.
+        code, out, _ = run(capsys, "delta", "--d", "-1", "--elem", "3", "--n", "8000")
+        assert code == 0
+        assert out == f"{1 + 9**4000}\n" and len(out) == 3817 + 1
 
 
 class TestDivisorsClassify:

@@ -28,6 +28,7 @@ from quadperfect import (
     decompose_even,
     delta,
     factor,
+    is_quadratic_prime,
     lift_to_3perfect,
     norm2_prime,
     prime_above,
@@ -41,7 +42,7 @@ from quadperfect.theorems import (
     smallest_odd_prime_norms,
 )
 
-from conftest import NORM2_D
+from conftest import ALL_D, NORM2_D, norm_ball_brute
 
 
 def checks_by_name(report) -> dict:
@@ -356,6 +357,17 @@ class TestPrimeCount:
             smallest_odd_prime_norms(Ring(-1), 0)
         norms = smallest_odd_prime_norms(Ring(-163), 40)
         assert len(norms) == 40 and norms == sorted(norms)
+        # Against the odd norms of the primes among all canonical elements
+        # of norm <= 2000, for every count that those norms settle.
+        for d in ALL_D:
+            rg = Ring(d)
+            want = sorted(
+                z.norm()
+                for z in norm_ball_brute(rg, 2000)
+                if z.norm() % 2 and is_quadratic_prime(z)
+            )
+            for count in range(1, len(want) + 1):
+                assert smallest_odd_prime_norms(rg, count) == want[:count], (d, count)
 
 
 class TestLift:
