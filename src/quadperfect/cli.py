@@ -10,7 +10,8 @@ decomposition invariants) is an exact JSON integer, which a reader that
 parses numbers as 53-bit floats must read as a big integer.
 Exit codes: 0 on success (an empty search is a success), 2 on usage
 errors and on inputs beyond a safety cap (TooLarge), 1 on computation
-errors and when --out cannot be written.
+errors, when --out cannot be written and when a search bound exceeds
+BOUND_GUARD without --force.
 
 Each subcommand returns (obj, lines): the object --json writes and the
 lines of the text rendering; main renders one of them.

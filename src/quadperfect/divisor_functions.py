@@ -80,18 +80,16 @@ def delta(n: int, z: QuadInt) -> int | Fraction:
     return total if h > 0 else Fraction(total, z.norm() ** -h)
 
 
-def delta_naive(
-    n: int, z: QuadInt, fac: QuadFactorization | None = None
-) -> int | Fraction:
-    """Same sum over an explicit divisor list; the oracle for delta.  fac,
-    when given, is factor(z)."""
+def delta_naive(n: int, z: QuadInt) -> int | Fraction:
+    """Same sum over an explicit divisor list; the oracle for delta, capped
+    at norm NAIVE_NORM_CAP."""
     h = _check_even(n)
     if z.is_zero():
         raise ZeroElement("delta is undefined at zero")
     if z.norm() > NAIVE_NORM_CAP:
         raise TooLarge(f"naive divisor sum capped at norm {NAIVE_NORM_CAP}")
     # Units do not change norms, so the raw products serve as the classes.
-    xs = _divisor_products(factor(z) if fac is None else fac)
+    xs = _divisor_products(factor(z))
     if h > 0:
         return sum(x.norm() ** h for x in xs)
     return sum(Fraction(1, x.norm() ** -h) for x in xs)

@@ -286,10 +286,9 @@ def is_quadratic_prime(z: QuadInt) -> bool:
     r = math.isqrt(n)
     if r * r != n or not is_prime(r):
         return False
-    # Norm q^2 is prime only for the inert rational prime q itself (up to units).
-    return _classify(r, z.ring) is PrimeClass.INERT and z.is_associated(
-        z.ring.element(r)
-    )
+    # Norm r^2 is prime only for an inert r, and then r itself is the only
+    # prime above r and has norm r^2, so z is an associate of r.
+    return _classify(r, z.ring) is PrimeClass.INERT
 
 
 def valuation(pi: QuadInt, z: QuadInt) -> int:

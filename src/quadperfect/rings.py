@@ -279,7 +279,8 @@ class QuadInt:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ring.d, self.a, self.b))
+        # An element with b = 0 equals the int a, so it must hash as a.
+        return hash((self.ring.d, self.a, self.b)) if self.b else hash(self.a)
 
 
 _set_ring, _set_a, _set_b = (vars(QuadInt)[name].__set__ for name in QuadInt.__slots__)

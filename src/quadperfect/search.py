@@ -20,7 +20,7 @@ largest value left would need an index out of reach by size.
 Each hit norm is factored once, into rational primes and the primes above
 them.  That builds the norm's elements, and re-validates each of them:
 its split exponents by exact division, its unit by the last division, and
-delta by the naive divisor sum, before it is reported.
+delta by the sum over its divisor classes, before it is reported.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import time
 from itertools import count, product
 
-from .divisor_functions import NAIVE_NORM_CAP, _geo_product, delta_naive, geo
+from .divisor_functions import _divisor_products, geo
 from .errors import require_ints
 from .primes import (
     PrimeClass,
@@ -47,9 +47,10 @@ from .rings import QuadInt, Ring
 class SearchReport(Record):
     """One search: its ring, n, t and norm bound, the sorted hits, the count
     of elements examined and the wall time; odd_norm marks an odd-norm
-    search, hit_checks holds the verifier reports run on each hit, backend
-    is always "norm" and hit_factors holds each hit's factorization from
-    its revalidation (not part of the JSON)."""
+    search, hit_checks holds the verifier reports run on each hit and
+    hit_factors holds each hit's factorization from its revalidation (not
+    part of the JSON).  backend is a class constant, not a field: there is
+    one search path, and the name stays in the JSON for the benchmark."""
 
     __slots__ = (
         "ring",
@@ -61,15 +62,14 @@ class SearchReport(Record):
         "wall_time_ms",
         "odd_norm",
         "hit_checks",
-        "backend",
         "hit_factors",
     )
     _defaults = {
         "odd_norm": lambda: False,
         "hit_checks": list,
-        "backend": lambda: "norm",
         "hit_factors": list,
     }
+    backend = "norm"
 
     def to_json(self) -> dict:
         return {
@@ -107,14 +107,11 @@ def _element_count(rg: Ring, bound: int) -> int:
     return (r0 - (r0 & 1) + 2 * rows) // len(rg.units())
 
 
-def _hits_of_norm(rg: Ring, N: int, h: int, t: int, primes=None) -> list[QuadInt]:
+def _hits_of_norm(rg: Ring, N: int, h: int, t: int, primes) -> list[QuadInt]:
     """The canonical z of norm N with delta(2h, z) = t * N^h; [] when an
     inert prime divides N to an odd power, so N is not a norm.  Each z is
     pi^k at each ramified or inert p, N(pi)^k = p^e, times pi^r * pibar^(e-r)
-    at each split p^e, for one r in 0..e.  primes, when given, is
-    _norm_primes(N, rg)."""
-    if primes is None:
-        primes = _norm_primes(N, rg)
+    at each split p^e, for one r in 0..e.  primes is _norm_primes(N, rg)."""
     fixed, fixed_delta, choices = rg.one(), 1, []
     for p, e, above in primes:
         if len(above) == 2:
@@ -301,16 +298,14 @@ def _revalidate(z: QuadInt, primes, n: int, t: int) -> QuadFactorization:
     # factor_rational(N) and _primes_above(p) for each p, the same pure
     # functions of N and p that a fresh factor(z) would call.  The rest is
     # its own: each split exponent comes from exact division of z, the unit
-    # from the last exact_divide and is_unit, and delta from the naive sum
-    # over an explicit divisor list; that sum is capped, so above the cap
-    # the exact closed form stands in.  Returns z's factorization.
+    # from the last exact_divide and is_unit, and delta from the sum of
+    # N(x)^h over an explicit divisor list at every norm, not from the geo
+    # closed form that picked the hit.  The list's cap of 2^20 classes lies
+    # far beyond any norm bound the count can scan.  Returns z's
+    # factorization.
     fac = _factor_element(z, primes)
-    nz = z.norm()
-    if nz <= NAIVE_NORM_CAP:
-        good = delta_naive(n, z, fac) == t * nz ** (n // 2)
-    else:
-        good = _geo_product(n // 2, fac) == t * nz ** (n // 2)
-    if not good:
+    h = n // 2
+    if sum(x.norm() ** h for x in _divisor_products(fac)) != t * z.norm() ** h:
         raise AssertionError(f"norm search reported a false hit: {z}")
     return fac
 

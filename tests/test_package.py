@@ -3,6 +3,7 @@ that documents them, and the README's Python tour and console examples."""
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import shlex
@@ -134,6 +135,18 @@ def test_cli_import_stays_light():
     assert "quadperfect.cli" in added
     heavy = {"dataclasses", "inspect", "ast", "dis", "json", "array"}
     assert sorted(added & heavy) == []
+
+
+def test_sources_parse_at_declared_python_floor():
+    # The suite runs on one interpreter; the grammar check holds the sources
+    # to the oldest Python that pyproject.toml declares.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    minor = re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1)
+    sources = sorted((ROOT / "src" / "quadperfect").glob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        ast.parse(text, str(path), feature_version=(3, int(minor)))
 
 
 R = Ring(-1)

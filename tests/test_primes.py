@@ -235,6 +235,22 @@ class TestQuadraticPrimality:
         rg = Ring(-1)
         assert not is_quadratic_prime(rg.element(0, 5))  # 5i ~ 5 splits
 
+    def test_prime_square_norm(self, rg):
+        # An element of norm r^2, r a rational prime, is prime exactly when r
+        # is inert, and then it is an associate of r.
+        seen = set()
+        for z in norm_ball_brute(rg, 2000):
+            n = z.norm()
+            r = math.isqrt(n)
+            if r * r != n or not is_prime(r):
+                continue
+            inert = classify_rational_prime(r, rg) is PrimeClass.INERT
+            assert is_quadratic_prime(z) is inert, z
+            if inert:
+                assert z.is_associated(rg.element(r)), z
+            seen.add(inert)
+        assert seen == {True, False}
+
     def test_valuation(self):
         rg = Ring(-1)
         assert valuation(rg.element(1, 1), rg.element(30, 30)) == 3

@@ -228,3 +228,14 @@ class TestEncodings:
         assert Ring(-3).element(7, 1) != 7
         assert Ring(-1).element(2, 0) == Ring(-1).element(2, 0)
         assert Ring(-1).element(2, 0) != Ring(-2).element(2, 0)
+
+    def test_hash_agrees_with_equality(self, rg):
+        # An element with b = 0 equals the int a, so it must hash as a, and
+        # sets and dicts must find either one by the other.
+        for a in (-7, -1, 0, 1, 3, 10**30):
+            z = rg.element(a)
+            assert z == a and hash(z) == hash(a)
+            assert a in {z} and z in {a}
+            assert {z: "z"}[a] == "z" and {a: "a"}[z] == "a"
+        for a, b in ((0, 1), (3, -2), (-5, 7), (10**30, 1)):
+            assert hash(rg.element(a, b)) == hash((rg.d, a, b))

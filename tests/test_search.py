@@ -25,15 +25,17 @@ from quadperfect import (
     is_powerfully_perfect,
     search_odd_norm,
     search_perfect,
+    split_prime_pair,
 )
 from quadperfect.primes import (
     PrimeClass,
     _classify,
     _iroot,
+    _norm_primes,
     factor_rational,
     is_prime,
 )
-from quadperfect import search
+from quadperfect import divisor_functions, search
 from quadperfect.divisor_functions import geo
 from quadperfect.search import _element_count
 
@@ -128,7 +130,10 @@ class TestSearchPerfect:
         assert rep.ring is rg and rep.n == 2 and rep.t == 2
         assert rep.norm_bound == 500 and not rep.odd_norm
         assert rep.wall_time_ms >= 0
-        assert rep.backend == "norm"
+        # backend is a class constant, not a field a caller can set.
+        assert rep.backend == "norm" and rep.to_json()["backend"] == "norm"
+        with pytest.raises(TypeError):
+            search.SearchReport(rg, 2, 2, 500, [], 0, 0, backend="x")
         obj = rep.to_json()
         assert set(obj) == {
             "ring",
@@ -142,6 +147,33 @@ class TestSearchPerfect:
             "hit_checks",
             "backend",
         }
+
+    def test_revalidation_ignores_closed_form(self, monkeypatch):
+        # A fault shared by the hit builder and the closed form must not pass
+        # the revalidation, at any norm.  Here the closed form calls every
+        # factorization a hit, and the hit list of norm 2^12 * 8191 =
+        # 33550336, above the naive oracle's norm cap, gains the non-hit
+        # 2^6 * pi.
+        rg, t = Ring(-7), 2
+
+        def every_hit(h, fac):
+            return t * math.prod(pi.norm() ** e for pi, e in fac.factors) ** h
+
+        pi = split_prime_pair(8191, rg)[0]
+        fake = (rg.element(2) ** 6 * pi).canonical_associate()
+        assert fake.norm() == 33550336
+        assert delta(2, fake) != t * fake.norm()
+        monkeypatch.setattr(divisor_functions, "_geo_product", every_hit)
+        monkeypatch.setattr(search, "_geo_product", every_hit, raising=False)
+        hits_of_norm = search._hits_of_norm
+
+        def with_fake(rg, N, h, t, primes):
+            hits = hits_of_norm(rg, N, h, t, primes)
+            return hits + [fake] if N == fake.norm() else hits
+
+        monkeypatch.setattr(search, "_hits_of_norm", with_fake)
+        with pytest.raises(AssertionError, match="false hit"):
+            search_perfect(rg, 2, t, 4 * 10**7)
 
     def test_wall_time_covers_count(self, monkeypatch):
         count = search._element_count
@@ -421,7 +453,8 @@ class TestCountAndWalk:
         norms = {z.norm() for z, _, _ in table}
         for N in range(1, 3001):
             if N not in norms:
-                assert search._hits_of_norm(rg, N, 1, 1) == [], N
+                primes = _norm_primes(N, rg)
+                assert search._hits_of_norm(rg, N, 1, 1, primes) == [], N
         hits = {}
         for z, *deltas in table:
             N = z.norm()
@@ -430,7 +463,9 @@ class TestCountAndWalk:
                 if t >= 2 and not rem:
                     hits.setdefault((N, h, t), []).append(z)
         for (N, h, t), zs in hits.items():
-            got = sorted(search._hits_of_norm(rg, N, h, t), key=QuadInt.sort_key)
+            primes = _norm_primes(N, rg)
+            got = search._hits_of_norm(rg, N, h, t, primes)
+            got.sort(key=QuadInt.sort_key)
             assert got == zs, (N, h, t)
 
     @pytest.mark.parametrize(
