@@ -127,7 +127,6 @@ class IntFactorization(Record):
     factors, a tuple of (p, e) pairs."""
 
     __slots__ = ("n", "factors")
-    _frozen = True
 
     def __iter__(self):
         return iter(self.factors)
@@ -318,7 +317,6 @@ class QuadFactorization(Record):
     pairs."""
 
     __slots__ = ("ring", "unit", "factors")
-    _frozen = True
 
     def value(self) -> QuadInt:
         out = self.unit

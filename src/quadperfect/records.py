@@ -7,14 +7,12 @@ compiles code for each class.
 
 
 class Record:
-    """Fields are the subclass's __slots__, set in order from positional
-    arguments, then by keyword, then from _defaults.  A frozen record
-    refuses assignment after construction."""
+    """Fields are the subclass's __slots__, each one required, set in order
+    from positional arguments, then by keyword.  A record is built once and
+    refuses assignment and deletion; it copies and pickles by its field
+    values."""
 
     __slots__ = ()
-    _frozen = False
-    # Zero-argument factories for the fields a caller may leave out.
-    _defaults: dict = {}
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self.__slots__
@@ -23,17 +21,17 @@ class Record:
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         for name in fields[len(args) :]:
-            if name in kwargs:
-                value = kwargs.pop(name)
-            elif name in self._defaults:
-                value = self._defaults[name]()
-            else:
+            if name not in kwargs:
                 raise TypeError(f"{type(self).__name__} is missing field {name!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, kwargs.pop(name))
         if kwargs:
             raise TypeError(f"unexpected or repeated fields {sorted(kwargs)}")
 
     def __setattr__(self, name, value):
-        if self._frozen:
-            raise AttributeError(f"{type(self).__name__} is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)

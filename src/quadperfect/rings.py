@@ -73,6 +73,10 @@ class Ring:
     def __repr__(self) -> str:
         return f"Ring({self.d})"
 
+    def __reduce__(self):
+        # A copy is the cached instance, as the ring identity checks need.
+        return Ring, (self.d,)
+
 
 # Strict element grammar: <int> [("+"|"-") <uint> "*w"], ASCII digits, no
 # whitespace; matched against the whole text, so no trailing newline.
@@ -270,17 +274,19 @@ class QuadInt:
         return f"QuadInt(d={self.ring.d}, a={self.a}, b={self.b})"
 
     def __eq__(self, other) -> bool:
+        # Equal only within one ring, and never to an int: 3 in d = -1 and
+        # 3 in d = -2 differ, so neither can equal the int 3.
         if isinstance(other, QuadInt):
             return (
                 self.ring is other.ring and self.a == other.a and self.b == other.b
             )
-        if isinstance(other, int):
-            return self.b == 0 and self.a == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        # An element with b = 0 equals the int a, so it must hash as a.
-        return hash((self.ring.d, self.a, self.b)) if self.b else hash(self.a)
+        return hash((self.ring.d, self.a, self.b))
+
+    def __reduce__(self):
+        return QuadInt, (self.ring, self.a, self.b)
 
 
 _set_ring, _set_a, _set_b = (vars(QuadInt)[name].__set__ for name in QuadInt.__slots__)

@@ -42,15 +42,16 @@ from .primes import (
 )
 from .records import Record
 from .rings import QuadInt, Ring
+from .theorems import check_odd_structure, check_prime_count
 
 
 class SearchReport(Record):
     """One search: its ring, n, t and norm bound, the sorted hits, the count
     of elements examined and the wall time; odd_norm marks an odd-norm
-    search, hit_checks holds the verifier reports run on each hit and
-    hit_factors holds each hit's factorization from its revalidation (not
-    part of the JSON).  backend is a class constant, not a field: there is
-    one search path, and the name stays in the JSON for the benchmark."""
+    search, and hit_checks holds the verifier reports run on each of its
+    hits ([] for any other search).  backend is a class constant, not a
+    field: there is one search path, and the name stays in the JSON for
+    the benchmark."""
 
     __slots__ = (
         "ring",
@@ -62,13 +63,7 @@ class SearchReport(Record):
         "wall_time_ms",
         "odd_norm",
         "hit_checks",
-        "hit_factors",
     )
-    _defaults = {
-        "odd_norm": lambda: False,
-        "hit_checks": list,
-        "hit_factors": list,
-    }
     backend = "norm"
 
     def to_json(self) -> dict:
@@ -310,8 +305,11 @@ def _revalidate(z: QuadInt, primes, n: int, t: int) -> QuadFactorization:
     return fac
 
 
-def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchReport:
-    start = time.perf_counter_ns()
+def _find(
+    rg: Ring, n: int, t: int, bound: int, odd_only: bool
+) -> list[tuple[QuadInt, QuadFactorization]]:
+    """The hits of norm at most bound as (z, factorization) pairs, sorted
+    by z.sort_key(); each factorization is the one its revalidation built."""
     found = []
     for N in _scan(rg, n, t, bound, odd_only):
         # One factorization of each hit norm serves all its hits.
@@ -319,6 +317,12 @@ def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchRep
         for z in _hits_of_norm(rg, N, n // 2, t, primes):
             found.append((z, _revalidate(z, primes, n, t)))
     found.sort(key=lambda zf: zf[0].sort_key())
+    return found
+
+
+def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchReport:
+    start = time.perf_counter_ns()
+    hits = [z for z, _ in _find(rg, n, t, bound, odd_only)]
     scanned = _element_count(rg, bound)
     if odd_only:
         # The odd-norm ideals' zeta function is zeta_K times the inverse of
@@ -327,17 +331,12 @@ def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchRep
         terms = ((-1 - c, bound // 2), (c, bound // 4))
         scanned += sum(k * _element_count(rg, x) for k, x in terms if k)
     elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
-    return SearchReport(
-        ring=rg,
-        n=n,
-        t=t,
-        norm_bound=bound,
-        hits=[z for z, _ in found],
-        elements_scanned=scanned,
-        wall_time_ms=elapsed_ms,
-        odd_norm=odd_only,
-        hit_factors=[fac for _, fac in found],
-    )
+    # An odd-norm search runs the structure and prime-count verifiers on
+    # each hit, outside its wall time.
+    checks = [
+        [check_odd_structure(z), check_prime_count(z)] for z in hits if odd_only
+    ]
+    return SearchReport(rg, n, t, bound, hits, scanned, elapsed_ms, odd_only, checks)
 
 
 def search_perfect(rg: Ring, n: int, t: int, bound: int) -> SearchReport:
@@ -350,11 +349,4 @@ def search_odd_norm(rg: Ring, bound: int) -> SearchReport:
     """Odd-norm 2-powerfully 2-perfect search; runs the structure and
     prime-count verifiers on any hit."""
     _validate(2, 2, bound)
-    report = _run_scan(rg, 2, 2, bound, True)
-    if report.hits:
-        from .theorems import check_odd_structure, check_prime_count
-
-        report.hit_checks = [
-            [check_odd_structure(z), check_prime_count(z)] for z in report.hits
-        ]
-    return report
+    return _run_scan(rg, 2, 2, bound, True)

@@ -4,7 +4,9 @@ that documents them, and the README's Python tour and console examples."""
 from __future__ import annotations
 
 import ast
+import copy
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -18,10 +20,12 @@ from quadperfect import (
     Ring,
     abundancy_index,
     check_mersenne_inert,
+    check_prime_count,
     classify_rational_prime,
     cli,
     delta,
     delta_naive,
+    factor,
     factor_rational,
     is_powerfully_perfect,
     is_prime,
@@ -180,27 +184,76 @@ RECORDS = [
             "hits": [],
             "elements_scanned": 0,
             "wall_time_ms": 0,
+            "odd_norm": False,
+            "hit_checks": [],
         },
     ),
 ]
-FROZEN = {IntFactorization, QuadFactorization, Check, EvenNormDecomposition}
 
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
 def test_record_contract(cls, fields):
-    first = next(iter(fields))
+    # Every record is built once, from every one of its fields, and refuses
+    # assignment and deletion afterwards.
+    assert cls.__slots__ == tuple(fields)
     for rec in (cls(*fields.values()), cls(**fields)):
         assert {name: getattr(rec, name) for name in fields} == fields
-        if cls in FROZEN:
-            with pytest.raises(AttributeError):
-                setattr(rec, first, fields[first])
-        else:
-            setattr(rec, first, None)
-            assert getattr(rec, first) is None
-    if cls is SearchReport:
-        a, b = cls(**fields), cls(**fields)
-        assert (a.odd_norm, a.hit_checks, a.backend) == (False, [], "norm")
-        assert a.hit_checks is not b.hit_checks
+        for name in fields:
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(rec, name, fields[name])
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(rec, name)
+    for name in fields:
+        rest = {k: v for k, v in fields.items() if k != name}
+        with pytest.raises(TypeError, match=f"missing field {name!r}"):
+            cls(**rest)
+
+
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+def test_values_copy_and_pickle(rg, clone):
+    # A copied value keeps the one Ring instance per d, which the ring
+    # identity checks rely on.
+    assert clone(rg) is rg
+    z = rg.element(9, 3)
+    values = [
+        z,
+        factor(z),
+        search_perfect(rg, 2, 2, 100),
+        search_odd_norm(rg, 100),
+        check_prime_count(z),
+    ]
+    for value in values:
+        copied = clone(value)
+        assert type(copied) is type(value)
+        assert copied.to_json() == value.to_json()
+        owner = copied.subject if isinstance(copied, VerifierReport) else copied
+        assert owner.ring is rg
+
+
+def test_function_level_imports():
+    # Every import made inside a function, as (module.function, what).  The
+    # deferred search import is the one half left of the search <-> theorems
+    # cycle; cli loads json only for --json output.
+    found = set()
+    for path in sorted((ROOT / "src" / "quadperfect").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            where = f"{path.stem}.{fn.name}"
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    found.add((where, "." * node.level + (node.module or "")))
+                elif isinstance(node, ast.Import):
+                    found |= {(where, alias.name) for alias in node.names}
+    assert found == {("theorems.conjecture_scan", ".search"), ("cli.main", "json")}
 
 
 Z = Ring(-1).element(3, 9)

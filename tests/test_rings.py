@@ -3,6 +3,8 @@ and the text encoding."""
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,7 +56,7 @@ class TestRing:
                 assert w * w == rg.element((d - 1) // 4, 1)
                 assert w.conjugate() == rg.element(1, -1)
             else:
-                assert w * w == rg.c == d
+                assert w * w == rg.element(d) and rg.c == d
                 assert w.conjugate() == rg.element(0, -1)
             assert w * w == rg.T * w + rg.c
             assert w.conjugate() == rg.T - w
@@ -224,18 +226,25 @@ class TestEncodings:
         assert z.sort_key() == (z.norm(), z.a, z.b)
 
     def test_equality_with_ints(self):
-        assert Ring(-3).element(7) == 7
-        assert Ring(-3).element(7, 1) != 7
-        assert Ring(-1).element(2, 0) == Ring(-1).element(2, 0)
-        assert Ring(-1).element(2, 0) != Ring(-2).element(2, 0)
+        # Equality holds within one ring only: an element never equals an
+        # int, nor the same coordinates in another ring.
+        for d in ALL_D:
+            rg, other = Ring(d), Ring(-2 if d == -1 else -1)
+            for a, b in ((7, 0), (7, 1), (0, 0), (1, 0)):
+                z = rg.element(a, b)
+                assert z == rg.element(a, b)
+                assert z != a and a != z
+                assert z != other.element(a, b)
 
     def test_hash_agrees_with_equality(self, rg):
-        # An element with b = 0 equals the int a, so it must hash as a, and
-        # sets and dicts must find either one by the other.
-        for a in (-7, -1, 0, 1, 3, 10**30):
-            z = rg.element(a)
-            assert z == a and hash(z) == hash(a)
-            assert a in {z} and z in {a}
-            assert {z: "z"}[a] == "z" and {a: "a"}[z] == "a"
-        for a, b in ((0, 1), (3, -2), (-5, 7), (10**30, 1)):
-            assert hash(rg.element(a, b)) == hash((rg.d, a, b))
+        # Equal elements hash alike, and a set holding an element, its int
+        # and the same coordinates in another ring keeps all three members
+        # whatever the order they arrive in.
+        other = Ring(-2 if rg.d == -1 else -1)
+        for a, b in ((-7, 0), (0, 0), (3, 0), (10**30, 0), (0, 1), (3, -2)):
+            z = rg.element(a, b)
+            assert hash(z) == hash(rg.element(a, b)) == hash((rg.d, a, b))
+            assert {z: "z"}[rg.element(a, b)] == "z"
+            for members in permutations((z, other.element(a, b), a)):
+                assert len(set(members)) == 3
+                assert len(dict.fromkeys(members)) == 3

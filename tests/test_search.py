@@ -133,7 +133,7 @@ class TestSearchPerfect:
         # backend is a class constant, not a field a caller can set.
         assert rep.backend == "norm" and rep.to_json()["backend"] == "norm"
         with pytest.raises(TypeError):
-            search.SearchReport(rg, 2, 2, 500, [], 0, 0, backend="x")
+            search.SearchReport(rg, 2, 2, 500, [], 0, 0, False, [], backend="x")
         obj = rep.to_json()
         assert set(obj) == {
             "ring",

@@ -36,6 +36,7 @@ from quadperfect import (
     split_prime_pair,
     valuation,
 )
+from quadperfect import search
 from quadperfect.theorems import (
     EvenNormDecomposition,
     odd_factorization_shape_report,
@@ -444,6 +445,20 @@ class TestConjectureScan:
         # The search's revalidation factors each hit once; decompose_even
         # reuses that factorization.  The hits share their norm's rational
         # factorization: the hit norms are 28 and 8128.
+        rep = conjecture_scan(Ring(-7), 10**4)
+        assert len(rep.checks) == 6
+        assert len(factor_calls) == 6
+        assert sorted(factor_rational_calls) == [28, 8128]
+
+    def test_counts_no_elements(
+        self, monkeypatch, factor_calls, factor_rational_calls
+    ):
+        # The scan takes its hits from the search's hit half; the element
+        # count, which it never reports, is not run.
+        def refuse(rg, bound):
+            raise AssertionError("conjecture_scan counted elements")
+
+        monkeypatch.setattr(search, "_element_count", refuse)
         rep = conjecture_scan(Ring(-7), 10**4)
         assert len(rep.checks) == 6
         assert len(factor_calls) == 6
