@@ -2,9 +2,15 @@
 
 The integer substrate is self-contained: Miller-Rabin with a witness set
 that is deterministic below 3.317e24 (above it a witness still proves
-compositeness, and a probable prime raises TooLarge), trial division up to
-10^6, a perfect-power test and Brent's rho for anything the trial bound
-misses.  On the quadratic side a rational prime is ramified, split or inert
+compositeness, and a probable prime raises TooLarge), and factoring in this
+order: divide out 2, 3 and 5; test the cofactor, first for primality and
+then for a perfect power, and stop once it is 1, a prime or a prime power;
+otherwise trial-divide by the 2-3-5 wheel up to 10^6, testing again after
+each prime it divides out; and split what is left by Brent's rho.  So once
+the wheel has passed every prime factor but the largest, the rest costs
+O(log n) modular steps.
+
+On the quadratic side a rational prime is ramified, split or inert
 according to whether the discriminant D is zero, a nonzero square or a
 non-square mod p (for p = 2: D even, D = 1 mod 8 or D = 5 mod 8); a prime
 above a split or ramified p comes from a square root of the discriminant
@@ -26,7 +32,8 @@ from .rings import QuadInt, Ring
 _TRIAL_BOUND = 10**6
 
 # Deterministic witness set for n < 3_317_044_064_679_887_385_961_981; the
-# same primes serve as the trial divisors that come first.
+# same primes serve as the trial divisors that come first, and as the first
+# exponents of the perfect-power test.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
@@ -43,6 +50,9 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        # No prime up to 37 divides n, so n has no factor below its root.
+        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -104,22 +114,58 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-def _factor_into(n: int, counts: dict[int, int], k: int = 1) -> None:
-    """Add the prime factorization of n^k to counts."""
+def _prime_exponents():
+    """The primes in increasing order."""
+    yield from _MR_BASES
+    e = 41
+    while True:
+        if all(e % f for f in range(3, math.isqrt(e) + 1, 2)):
+            yield e
+        e += 2
+
+
+def _perfect_power(n: int, lo: int) -> tuple[int, int] | None:
+    """(r, e) with r^e = n for the smallest prime e that gives one, or None.
+
+    Every prime factor of n > 1 is at least lo >= 2, so n = r^e needs
+    lo^e <= n; a composite e = e1*e2 shows up as the prime e1 with root r^e2.
+    """
+    for e in _prime_exponents():
+        if lo**e > n:
+            return None
+        r = _iroot(n, e)
+        if r**e == n:
+            return r, e
+
+
+def _prime_power(n: int, lo: int) -> tuple[int, int] | None:
+    """(q, e) with n = q^e and q prime, or None when n > 1 has two distinct
+    prime factors; every prime factor of n is at least lo >= 2."""
+    e = 1
+    while not is_prime(n):
+        root = _perfect_power(n, lo)
+        if root is None:
+            return None
+        n, e = root[0], e * root[1]
+    return n, e
+
+
+def _factor_into(n: int, counts: dict[int, int], lo: int, k: int = 1) -> None:
+    """Add the prime factorization of n^k to counts; every prime factor of
+    n is at least lo >= 2."""
     if n == 1:
         return
     if is_prime(n):
         counts[n] = counts.get(n, 0) + k
         return
     # Rho needs about sqrt(p) steps to split a power of a large prime p.
-    for e in range(2, n.bit_length()):
-        r = _iroot(n, e)
-        if r**e == n:
-            _factor_into(r, counts, k * e)
-            return
+    root = _perfect_power(n, lo)
+    if root is not None:
+        _factor_into(root[0], counts, lo, k * root[1])
+        return
     d = _brent_rho(n)
-    _factor_into(d, counts, k)
-    _factor_into(n // d, counts, k)
+    _factor_into(d, counts, lo, k)
+    _factor_into(n // d, counts, lo, k)
 
 
 class IntFactorization(Record):
@@ -133,7 +179,13 @@ class IntFactorization(Record):
 
 
 def factor_rational(n: int) -> IntFactorization:
-    """Complete prime factorization of a positive integer."""
+    """Complete prime factorization of a positive integer.
+
+    After 2, 3 and 5, and again after each prime the wheel divides out, the
+    cofactor is tested: once it is a prime or a prime power the factorization
+    is complete.  A cofactor with two distinct prime factors goes on through
+    the wheel up to 10^6 and then to Brent's rho.
+    """
     require_ints(n=n)
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -146,17 +198,26 @@ def factor_rational(n: int) -> IntFactorization:
     p = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
+    # Every prime factor of n is at least p, and each test below comes after
+    # a prime was divided out, so k distinct primes cost at most k + 1 tests.
     while p <= _TRIAL_BOUND and p * p <= n:
+        root = _prime_power(n, p)
+        if root is not None:
+            counts[root[0]] = root[1]
+            n = 1
+            break
+        while p <= _TRIAL_BOUND and p * p <= n and n % p:
+            p += wheel[i]
+            i = (i + 1) & 7
+        # Every prime below p is gone from n, so a p that divides n is prime.
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-        p += wheel[i]
-        i = (i + 1) & 7
     if n > 1:
         if p * p > n:
             counts[n] = counts.get(n, 0) + 1
         else:
-            _factor_into(n, counts)
+            _factor_into(n, counts, p)
     return IntFactorization(orig, tuple(sorted(counts.items())))
 
 

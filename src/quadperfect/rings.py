@@ -112,6 +112,9 @@ class QuadInt:
     def __setattr__(self, name, value):
         raise AttributeError("QuadInt is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("QuadInt is immutable")
+
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import functools
 import math
+import random
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quadperfect import (
     NotPrime,
@@ -37,6 +41,12 @@ def sieve(limit: int) -> list[bool]:
 
 
 PRIMES_BELOW_2000 = [p for p, prime in enumerate(sieve(1999)) if prime]
+
+
+def next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
 
 
 @functools.cache
@@ -89,6 +99,46 @@ class TestIntegerSubstrate:
         assert factor_rational(p**2).factors == ((p, 2),)
         assert factor_rational(2 * p**3 * q).factors == ((2, 1), (q, 1), (p, 3))
         assert factor_rational(q**2 * p**2).factors == ((q, 2), (p, 2))
+
+    def test_factor_rational_prime_cofactor(self):
+        q = 10**20 + 39
+        assert factor_rational(q).factors == ((q, 1),)
+        assert factor_rational(7 * q).factors == ((7, 1), (q, 1))
+        # Exponents past the first twelve primes.
+        p, r = 1000003, 1000033
+        assert factor_rational(3 * p**43).factors == ((3, 1), (p, 43))
+        assert factor_rational((p * r) ** 41).factors == ((p, 41), (r, 41))
+
+    def test_factor_rational_probable_prime_cofactor_refused(self):
+        with pytest.raises(TooLarge):
+            factor_rational(5 * (2**89 - 1))
+
+    @given(
+        st.lists(st.sampled_from(PRIMES_BELOW_2000[:40]), max_size=6),
+        st.integers(10**6, 10**15),
+        st.integers(1, 3),
+    )
+    def test_factor_rational_smooth_times_prime_power(self, small, lo, e):
+        big = next_prime(lo)
+        counts = {p: small.count(p) for p in small}
+        counts[big] = e
+        n = math.prod(small) * big**e
+        assert factor_rational(n).factors == tuple(sorted(counts.items()))
+
+    def test_factor_rational_prime_cofactor_is_fast(self):
+        # Trial division to sqrt(P) would take about 2.7e5 wheel steps each.
+        rng = random.Random(22)
+        cases = []
+        for _ in range(100):
+            s = math.prod(rng.choices((2, 3, 7, 11, 13, 101), k=rng.randint(0, 4)))
+            cases.append((s, next_prime(rng.randrange(10**13, 10**14 - 100))))
+        start = time.perf_counter()
+        facs = [factor_rational(s * big) for s, big in cases]
+        elapsed = time.perf_counter() - start
+        for (s, big), fac in zip(cases, facs):
+            assert fac.factors[-1] == (big, 1)
+            assert math.prod(p**e for p, e in fac) == s * big
+        assert elapsed < 1, elapsed
 
     def test_factor_rational_rejects_nonpositive(self):
         for n in (0, -6):
@@ -331,6 +381,25 @@ class TestFactor:
         assert [pi.norm() for pi, _ in fac.factors] == [2, 89, 337, 64969, 256592474325833]
         assert all(e == 1 for _, e in fac.factors)
         assert fac.value() == z
+
+    def test_inert_prime_above_trial_bound(self):
+        rg = Ring(-1)
+        q = 10000019
+        assert classify_rational_prime(q, rg) is PrimeClass.INERT
+        fac = factor(rg.element(q))
+        assert fac.factors == ((rg.element(q), 1),)
+        assert fac.unit == rg.one()
+
+    def test_split_prime_cube_above_trial_bound(self):
+        rg = Ring(-1)
+        p = next_prime(10**6 + 1)
+        while classify_rational_prime(p, rg) is not PrimeClass.SPLIT:
+            p = next_prime(p + 1)
+        pi = prime_above(p, rg)
+        assert factor_rational(p**3).factors == ((p, 3),)
+        fac = factor(pi**3)
+        assert fac.factors == ((pi, 3),)
+        assert fac.value() == pi**3
 
     def test_split_exponent_recovery(self):
         # (2+i)^3 (2-i): norms alone cannot separate the conjugates.

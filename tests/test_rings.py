@@ -126,6 +126,9 @@ class TestArithmetic:
         z = Ring(-1).element(1, 2)
         with pytest.raises(AttributeError):
             z.a = 5
+        with pytest.raises(AttributeError, match="immutable"):
+            del z.a
+        assert (z.a, z.b) == (1, 2)
 
     def test_norm_formulas(self):
         assert Ring(-1).element(3, 4).norm() == 25
