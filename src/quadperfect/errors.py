@@ -33,7 +33,8 @@ class SplitDichotomyViolation(ArithmeticError):
 
 def require_ints(**values) -> None:
     """Raise TypeError naming the first of values that is not an int, so a
-    float never reaches the exact arithmetic."""
+    float never reaches the exact arithmetic; a bool is refused too, though
+    Python counts it as an int."""
     for name, x in values.items():
-        if not isinstance(x, int):
+        if not isinstance(x, int) or isinstance(x, bool):
             raise TypeError(f"{name} must be an integer, got {x!r}")

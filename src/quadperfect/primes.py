@@ -2,13 +2,13 @@
 
 The integer substrate is self-contained: Miller-Rabin with a witness set
 that is deterministic below 3.317e24 (above it a witness still proves
-compositeness, and a probable prime raises TooLarge), and factoring in this
-order: divide out 2, 3 and 5; test the cofactor, first for primality and
-then for a perfect power, and stop once it is 1, a prime or a prime power;
-otherwise trial-divide by the 2-3-5 wheel up to 10^6, testing again after
-each prime it divides out; and split what is left by Brent's rho.  So once
-the wheel has passed every prime factor but the largest, the rest costs
-O(log n) modular steps.
+compositeness, and a probable prime raises TooLarge), and factoring in one
+loop (Cohen, GTM 138, ch. 8).  After 2, 3 and 5 are divided out, each pass
+over the cofactor n records n once it is prime, replaces a composite
+perfect power by its root, and otherwise divides out the next prime the
+2-3-5 wheel meets up to 10^6, or past 10^6 splits n by Brent's rho.  So
+once the wheel has passed every prime factor but the largest, the rest
+costs O(log n) modular steps.
 
 On the quadratic side a rational prime is ramified, split or inert
 according to whether the discriminant D is zero, a nonzero square or a
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+from itertools import chain, count
 
 from .errors import MixedRings, NotPrime, TooLarge, ZeroElement, require_ints
 from .records import Record
@@ -32,8 +33,8 @@ from .rings import QuadInt, Ring
 _TRIAL_BOUND = 10**6
 
 # Deterministic witness set for n < 3_317_044_064_679_887_385_961_981; the
-# same primes serve as the trial divisors that come first, and as the first
-# exponents of the perfect-power test.
+# same primes serve as is_prime's trial divisors and as the first exponents
+# of the perfect-power test.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
@@ -86,8 +87,6 @@ def _iroot(x: int, k: int) -> int:
 
 def _brent_rho(n: int) -> int:
     """A nontrivial factor of odd composite n."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -114,23 +113,13 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-def _prime_exponents():
-    """The primes in increasing order."""
-    yield from _MR_BASES
-    e = 41
-    while True:
-        if all(e % f for f in range(3, math.isqrt(e) + 1, 2)):
-            yield e
-        e += 2
-
-
 def _perfect_power(n: int, lo: int) -> tuple[int, int] | None:
     """(r, e) with r^e = n for the smallest prime e that gives one, or None.
 
     Every prime factor of n > 1 is at least lo >= 2, so n = r^e needs
     lo^e <= n; a composite e = e1*e2 shows up as the prime e1 with root r^e2.
     """
-    for e in _prime_exponents():
+    for e in chain(_MR_BASES, filter(is_prime, count(41, 2))):
         if lo**e > n:
             return None
         r = _iroot(n, e)
@@ -138,34 +127,44 @@ def _perfect_power(n: int, lo: int) -> tuple[int, int] | None:
             return r, e
 
 
-def _prime_power(n: int, lo: int) -> tuple[int, int] | None:
-    """(q, e) with n = q^e and q prime, or None when n > 1 has two distinct
-    prime factors; every prime factor of n is at least lo >= 2."""
-    e = 1
-    while not is_prime(n):
-        root = _perfect_power(n, lo)
-        if root is None:
-            return None
-        n, e = root[0], e * root[1]
-    return n, e
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
-def _factor_into(n: int, counts: dict[int, int], lo: int, k: int = 1) -> None:
-    """Add the prime factorization of n^k to counts; every prime factor of
-    n is at least lo >= 2."""
-    if n == 1:
-        return
-    if is_prime(n):
-        counts[n] = counts.get(n, 0) + k
-        return
-    # Rho needs about sqrt(p) steps to split a power of a large prime p.
-    root = _perfect_power(n, lo)
-    if root is not None:
-        _factor_into(root[0], counts, lo, k * root[1])
-        return
-    d = _brent_rho(n)
-    _factor_into(d, counts, lo, k)
-    _factor_into(n // d, counts, lo, k)
+def _factor_into(n: int, counts: dict[int, int], p: int, i: int, k: int = 1) -> None:
+    """Add the prime factorization of n^k to counts.
+
+    No prime below p divides n, and p is the value at place i of the 2-3-5
+    wheel 7, 11, 13, 17, ...  Each pass records n once it is below p^2 or
+    prime, takes the root of a perfect power, or else divides out the next
+    prime the wheel meets up to 10^6, or past 10^6 splits n by rho.  So each
+    prime the wheel divides out costs one primality and one perfect-power
+    test, and the last cofactor one more.
+    """
+    while n > 1:
+        if n < p * p or is_prime(n):
+            counts[n] = counts.get(n, 0) + k
+            return
+        # Rho needs about sqrt(q) steps to split a power of a large prime q.
+        root = _perfect_power(n, p)
+        if root is not None:
+            n, k = root[0], k * root[1]
+            continue
+        # n is composite and not a perfect power, so it has two distinct
+        # prime factors and the smaller is at most sqrt(n): the wheel stops.
+        while p <= _TRIAL_BOUND and n % p:
+            p += _WHEEL[i]
+            i = (i + 1) & 7
+        if p > _TRIAL_BOUND:
+            d = _brent_rho(n)
+            _factor_into(d, counts, p, i, k)
+            n //= d
+            continue
+        # Every prime below p is gone from n, so p is prime.
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        counts[p] = counts.get(p, 0) + k * e
 
 
 class IntFactorization(Record):
@@ -181,44 +180,22 @@ class IntFactorization(Record):
 def factor_rational(n: int) -> IntFactorization:
     """Complete prime factorization of a positive integer.
 
-    After 2, 3 and 5, and again after each prime the wheel divides out, the
-    cofactor is tested: once it is a prime or a prime power the factorization
-    is complete.  A cofactor with two distinct prime factors goes on through
-    the wheel up to 10^6 and then to Brent's rho.
+    2, 3 and 5 are divided out first; the cofactor goes to one loop that
+    stops once it is a prime, takes the root of a composite perfect power
+    before trial division goes on, divides by the 2-3-5 wheel up to 10^6 and
+    splits what is left by Brent's rho.
     """
     require_ints(n=n)
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
-    orig = n
     counts: dict[int, int] = {}
+    m = n
     for p in (2, 3, 5):
-        while n % p == 0:
+        while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
-            n //= p
-    p = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    # Every prime factor of n is at least p, and each test below comes after
-    # a prime was divided out, so k distinct primes cost at most k + 1 tests.
-    while p <= _TRIAL_BOUND and p * p <= n:
-        root = _prime_power(n, p)
-        if root is not None:
-            counts[root[0]] = root[1]
-            n = 1
-            break
-        while p <= _TRIAL_BOUND and p * p <= n and n % p:
-            p += wheel[i]
-            i = (i + 1) & 7
-        # Every prime below p is gone from n, so a p that divides n is prime.
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        if p * p > n:
-            counts[n] = counts.get(n, 0) + 1
-        else:
-            _factor_into(n, counts, p)
-    return IntFactorization(orig, tuple(sorted(counts.items())))
+            m //= p
+    _factor_into(m, counts, 7, 0)
+    return IntFactorization(n, tuple(sorted(counts.items())))
 
 
 def int_valuation(p: int, n: int) -> int:

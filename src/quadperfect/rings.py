@@ -210,6 +210,8 @@ class QuadInt:
 
     def is_associated(self, other) -> bool:
         o = self._coerce(other)
+        if o is None:
+            raise TypeError(f"cannot divide QuadInt by {type(other).__name__}")
         if self.is_zero() or o.is_zero():
             return self.is_zero() and o.is_zero()
         q = self.exact_divide(o)

@@ -264,14 +264,19 @@ NON_INTEGER_CALLS = {
     "sigma(1, 7.0)": lambda: sigma(1, 7.0),
     "sigma(1.0, 7)": lambda: sigma(1.0, 7),
     "factor_rational(7.0)": lambda: factor_rational(7.0),
+    "factor_rational(True)": lambda: factor_rational(True),
     "Ring(-7.0)": lambda: Ring(-7.0),
     "element(3.5, 1)": lambda: Ring(-1).element(3.5, 1),
     "element(3, 1.0)": lambda: Ring(-1).element(3, 1.0),
+    # bool is a subclass of int, but True is no coordinate, bound or norm.
+    "element(True, 0)": lambda: Ring(-1).element(True, 0),
     "search_perfect(n=2.0)": lambda: search_perfect(Ring(-1), 2.0, 2, 10**4),
     "search_perfect(t=2.0)": lambda: search_perfect(Ring(-1), 2, 2.0, 10**4),
     "search_perfect(bound=1e4)": lambda: search_perfect(Ring(-1), 2, 2, 1e4),
+    "search_perfect(bound=True)": lambda: search_perfect(Ring(-1), 2, 2, True),
     "search_odd_norm(bound=1e4)": lambda: search_odd_norm(Ring(-1), 1e4),
     "is_prime(7.0)": lambda: is_prime(7.0),
+    "is_prime(True)": lambda: is_prime(True),
     "int_valuation(2, 8.0)": lambda: int_valuation(2, 8.0),
     "int_valuation(2.0, 8)": lambda: int_valuation(2.0, 8),
     "classify_rational_prime(7.0)": lambda: classify_rational_prime(7.0, Ring(-1)),

@@ -9,7 +9,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadperfect import (
@@ -41,6 +41,9 @@ def sieve(limit: int) -> list[bool]:
 
 
 PRIMES_BELOW_2000 = [p for p, prime in enumerate(sieve(1999)) if prime]
+PRIMES_NEAR_BOUND = [
+    n for n in range(999001, 1001000, 2) if all(n % p for p in PRIMES_BELOW_2000)
+]
 
 
 def next_prime(n: int) -> int:
@@ -108,6 +111,15 @@ class TestIntegerSubstrate:
         p, r = 1000003, 1000033
         assert factor_rational(3 * p**43).factors == ((3, 1), (p, 43))
         assert factor_rational((p * r) ** 41).factors == ((p, 41), (r, 41))
+        # The edge of the wheel: 999983 is the last prime it divides out,
+        # and a root that needs rho is split after the perfect-power test.
+        s, t = 999983, 1000037
+        assert factor_rational(s * p).factors == ((s, 1), (p, 1))
+        assert factor_rational(p**2).factors == ((p, 2),)
+        assert factor_rational(7**2 * p**2).factors == ((7, 2), (p, 2))
+        assert factor_rational((p * r) ** 2).factors == ((p, 2), (r, 2))
+        assert factor_rational(p * r * t).factors == ((p, 1), (r, 1), (t, 1))
+        assert factor_rational((7 * p) ** 3 * 11).factors == ((7, 3), (11, 1), (p, 3))
 
     def test_factor_rational_probable_prime_cofactor_refused(self):
         with pytest.raises(TooLarge):
@@ -123,6 +135,20 @@ class TestIntegerSubstrate:
         counts = {p: small.count(p) for p in small}
         counts[big] = e
         n = math.prod(small) * big**e
+        assert factor_rational(n).factors == tuple(sorted(counts.items()))
+
+    @settings(max_examples=25)
+    @given(
+        st.lists(st.sampled_from(PRIMES_BELOW_2000[:40]), max_size=6),
+        st.lists(st.sampled_from(PRIMES_NEAR_BOUND), min_size=2, max_size=2, unique=True),
+        st.integers(1, 2),
+    )
+    def test_factor_rational_smooth_times_two_primes_near_bound(self, small, pq, e):
+        # P and Q sit just below or just above the trial bound 10^6: the
+        # wheel divides out a prime below it, rho splits off primes above it.
+        counts = {p: small.count(p) for p in small}
+        counts.update((p, e) for p in pq)
+        n = math.prod(small) * math.prod(pq) ** e
         assert factor_rational(n).factors == tuple(sorted(counts.items()))
 
     def test_factor_rational_prime_cofactor_is_fast(self):

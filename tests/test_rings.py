@@ -163,6 +163,13 @@ class TestExactDivision:
             assert z.is_associated(u * z)
         assert not z.is_associated(z + z.ring.one() if z.b else z * 2)
 
+    def test_is_associated_rejects_non_elements(self):
+        z = Ring(-1).element(3)
+        assert z.is_associated(3) and z.is_associated(-3)
+        for other in (2.5, "3", None):
+            with pytest.raises(TypeError, match="cannot divide QuadInt by"):
+                z.is_associated(other)
+
 
 class TestFundamentalSector:
     def test_exactly_one_associate_in_sector(self, rg):

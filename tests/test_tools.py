@@ -1,4 +1,4 @@
-"""tools/inproc_ab.py: one process, two package names, one JSON line."""
+"""tools/inproc_ab.py and tools/code_lines.py: each prints one JSON line."""
 
 from __future__ import annotations
 
@@ -25,3 +25,37 @@ def test_inproc_ab_runs_both_sides():
         assert out[side]["ops"] == 20
         assert out[side]["round_s_median"] > 0
     assert 0 <= out["change_faster_pairs"] <= 2
+
+
+def code_lines(root: Path) -> dict:
+    cmd = [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(root)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_code_lines_counts_only_code(tmp_path):
+    pkg = tmp_path / "src" / "quadperfect"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = (1,\n"
+        "     2)  # trailing comment\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function docstring."""\n'
+        "        # another comment\n"
+        '        return """not a docstring"""\n'
+    )
+    assert code_lines(tmp_path) == {"modules": {"mod.py": 5}, "total": 5}
+
+
+def test_code_lines_on_this_tree():
+    out = code_lines(ROOT)
+    assert "primes.py" in out["modules"]
+    assert out["total"] == sum(out["modules"].values())
