@@ -10,10 +10,12 @@ perfect power by its root, and otherwise divides out the next prime the
 once the wheel has passed every prime factor but the largest, the rest
 costs O(log n) modular steps.
 
-On the quadratic side a rational prime is ramified, split or inert
-according to whether the discriminant D is zero, a nonzero square or a
-non-square mod p (for p = 2: D even, D = 1 mod 8 or D = 5 mod 8); a prime
-above a split or ramified p comes from a square root of the discriminant
+On the quadratic side every prime fact is the Kronecker symbol chi_D(p):
+0, 1 or -1 as the discriminant D is zero, a nonzero square or a
+non-square mod p (for p = 2: D even, D = 1 mod 8 or D = 5 mod 8), that is,
+as p ramifies, splits or stays inert.  1 + chi_D(p) primes of norm p lie
+above p, and when chi_D(p) = -1 p itself is the one prime above it, of
+norm p^2.  A prime of norm p comes from a square root of the discriminant
 mod p (Tonelli-Shanks) and Cornacchia's algorithm, both O(log p) steps.
 An element factorization finds the exponent of one prime of each split
 pair by repeated exact division and gives its conjugate the rest of the
@@ -219,24 +221,25 @@ class PrimeClass(enum.Enum):
     INERT = "inert"
 
 
-def _classify(p: int, rg: Ring) -> PrimeClass:
+def _classify(p: int, rg: Ring) -> int:
+    """chi_D(p) for a prime p: 0 when p ramifies, 1 when it splits and -1
+    when it is inert.  By Euler's criterion for odd p; a composite p gets
+    some value in {1, 0, -1}."""
     D = rg.D
     if D % p == 0:
-        return PrimeClass.RAMIFIED
+        return 0
     if p == 2:
         # D = 1 + 4c is odd here, and 2 splits when w^2 = w + c has a root
         # mod 2, that is when c is even.
-        square = D % 8 == 1
-    else:
-        square = pow(D % p, (p - 1) // 2, p) == 1
-    return PrimeClass.SPLIT if square else PrimeClass.INERT
+        return 1 if D % 8 == 1 else -1
+    return 1 if pow(D % p, (p - 1) // 2, p) == 1 else -1
 
 
 def classify_rational_prime(p: int, rg: Ring) -> PrimeClass:
     require_ints(p=p)
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not a rational prime")
-    return _classify(p, rg)
+    return (PrimeClass.RAMIFIED, PrimeClass.SPLIT, PrimeClass.INERT)[_classify(p, rg)]
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -283,16 +286,13 @@ def _norm_equation_solutions(p: int, rg: Ring) -> list[QuadInt]:
 
 
 def _primes_above(p: int, rg: Ring) -> tuple[QuadInt, ...]:
-    cls = _classify(p, rg)
-    if cls is PrimeClass.INERT:
+    chi = _classify(p, rg)
+    if chi < 0:
         return (rg.element(p),)
     reps = {z.canonical_associate() for z in _norm_equation_solutions(p, rg)}
-    # Smallest norm, then largest a, then smallest b.
-    ordered = sorted(reps, key=lambda z: (z.norm(), -z.a, z.b))
-    if cls is PrimeClass.RAMIFIED:
-        assert len(ordered) == 1
-    else:
-        assert len(ordered) == 2
+    # Every rep has norm p: largest a, then smallest b.
+    ordered = sorted(reps, key=lambda z: (-z.a, z.b))
+    assert len(ordered) == 1 + chi
     return tuple(ordered)
 
 
@@ -325,7 +325,7 @@ def is_quadratic_prime(z: QuadInt) -> bool:
         return False
     # Norm r^2 is prime only for an inert r, and then r itself is the only
     # prime above r and has norm r^2, so z is an associate of r.
-    return _classify(r, z.ring) is PrimeClass.INERT
+    return _classify(r, z.ring) < 0
 
 
 def valuation(pi: QuadInt, z: QuadInt) -> int:

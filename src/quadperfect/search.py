@@ -10,8 +10,8 @@ product of geometric sums over z's prime factorization, each element's
 delta follows from those (r, e - r) and the ramified and inert exponents
 alone, in exact integer arithmetic.  A depth-first walk over the norms,
 each node holding only its norm and its elements' delta values, finds
-its primes as it first reaches them, keeps only each prime and its
-class, and returns the norms that hit.  A node's child loop tests each
+its primes as it first reaches them, keeps only each prime p and
+chi_D(p), and returns the norms that hit.  A node's child loop tests each
 child for a hit itself.  It opens the child only when the child's norm
 leaves room for one more prime and some of its values are below the
 target with a denominator that a cofactor's norm can clear, and it passes
@@ -32,7 +32,6 @@ from itertools import count, product
 from .divisor_functions import _divisor_products, geo
 from .errors import require_ints
 from .primes import (
-    PrimeClass,
     QuadFactorization,
     _classify,
     _factor_element,
@@ -81,10 +80,6 @@ class SearchReport(Record):
             ],
             "backend": self.backend,
         }
-
-
-# chi_D(p) by the class of p: 1 + chi_D(p) elements of norm p lie above p.
-_CHI = {PrimeClass.SPLIT: 1, PrimeClass.INERT: -1, PrimeClass.RAMIFIED: 0}
 
 
 def _element_count(rg: Ring, bound: int) -> int:
@@ -146,9 +141,10 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
     child m * q^k when one of its values is t * (m * q^k)^h, before it
     decides whether to open it.  Primes above sqrt(bound / m) end norms
     m * p with no children, tested in closed form; an inert p is skipped
-    there, as m * p is no norm.  The list holds each prime with its class,
-    and grows as the walk first reaches each prime; each child loop works
-    out its own steps.
+    there, before its primality test, as m * p is no norm.  The list holds
+    each prime p with chi_D(p), 1, 0 or -1 as p splits, ramifies or stays
+    inert, and grows as the walk first reaches each prime; each child loop
+    works out its own steps.
 
     Pruning.  A descendant of m is m * M, cap = bound // m >= M > 1, and
     its hits are the elements x * y with delta(x) = v one of m's values and
@@ -202,7 +198,7 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
         p = walk[-1][0] + 1 if walk else 3 if odd_only else 2
         while not is_prime(p):
             p += 1
-        walk.append((p, _CHI[_classify(p, rg)]))
+        walk.append((p, _classify(p, rg)))
 
     def kept(vals, tm, cap, below):
         # Each v < t * m^h, mapped to b, the denominator of t * m^h / v, where
@@ -227,8 +223,10 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
             ph, rem = divmod(v, tm - v)
             if not rem:
                 p = _iroot(ph, h)
-                if plo < p <= cap and p**h == ph and is_prime(p):
-                    if _classify(p, rg) is not PrimeClass.INERT:
+                # An inert p is skipped before is_prime: Euler's criterion on
+                # a composite p can only skip a p that is no leaf anyway.
+                if plo < p <= cap and p**h == ph and _classify(p, rg) >= 0:
+                    if is_prime(p):
                         norms.append(m * p)
         for j in count(start):
             p, c = walk[j]
@@ -327,7 +325,7 @@ def _run_scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> SearchRep
     if odd_only:
         # The odd-norm ideals' zeta function is zeta_K times the inverse of
         # its Euler factor at 2, (1 - 2^-s)(1 - chi(2) 2^-s).
-        c = _CHI[_classify(2, rg)]
+        c = _classify(2, rg)
         terms = ((-1 - c, bound // 2), (c, bound // 4))
         scanned += sum(k * _element_count(rg, x) for k, x in terms if k)
     elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000

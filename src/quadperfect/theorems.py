@@ -31,6 +31,7 @@ from .primes import (
     PrimeClass,
     QuadFactorization,
     _classify,
+    classify_rational_prime,
     factor,
     is_prime,
     prime_above,
@@ -102,7 +103,7 @@ class EvenNormDecomposition(Record):
 
 def _require_norm2(rg: Ring) -> None:
     # A prime above 2 has norm 2 unless 2 is inert.
-    if _classify(2, rg) is PrimeClass.INERT:
+    if _classify(2, rg) < 0:
         raise PreconditionFailed(f"no element of norm 2 exists for d={rg.d}")
 
 
@@ -188,7 +189,7 @@ def check_mersenne_inert(gamma: int, rg: Ring) -> VerifierReport:
         Check("q_prime", "prime", "prime" if prime else "composite", prime),
     ]
     if prime:
-        cls = _classify(q, rg)
+        cls = classify_rational_prime(q, rg)
         checks.append(Check("q_inert", "inert", cls.value, cls is PrimeClass.INERT))
     else:
         checks.append(Check("q_inert", "inert", "q not prime", False))
@@ -217,7 +218,10 @@ def check_structure_bounds(dec: EvenNormDecomposition) -> VerifierReport:
                 Check("inert_valuation", str(expect), str(rho), rho == expect)
             )
         except NotPrime:
-            checks.append(Check("inert_valuation", str(expect), "q not prime", False))
+            # element(q) is no prime of the ring when q is composite or a
+            # prime that is not inert.
+            why = "q not inert" if is_prime(q) else "q not prime"
+            checks.append(Check("inert_valuation", str(expect), why, False))
     else:
         checks.append(Check("inert_valuation", "(k+1)/2", "k not odd", False))
     if dec.ring.d == -7:
@@ -279,12 +283,10 @@ def smallest_odd_prime_norms(rg: Ring, count: int) -> list[int]:
     p = 3
     while len(norms) < count or norms[count - 1] > p:
         if is_prime(p):
-            cls = _classify(p, rg)
-            if cls is PrimeClass.SPLIT:
-                insort(norms, p)
-                insort(norms, p)
-            else:
-                insort(norms, p if cls is PrimeClass.RAMIFIED else p * p)
+            # 1 + chi_D(p) primes of norm p lie above p, or one of norm p^2
+            # when p is inert.
+            for q in [p] * (1 + _classify(p, rg)) or [p * p]:
+                insort(norms, q)
         p += 2
     return norms[:count]
 

@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, settings
 
 from quadperfect import ADMISSIBLE_D, QuadInt, Ring, factor
 from quadperfect.primes import _classify, _factor_element, factor_rational
-from quadperfect.search import _CHI
 
 settings.register_profile(
     "suite",
@@ -64,6 +63,20 @@ def factor_rational_calls(monkeypatch) -> list[int]:
     return record_calls(monkeypatch, factor_rational)
 
 
+@pytest.fixture
+def forced_odd_hit(monkeypatch) -> QuadInt:
+    """z = 2 + w of norm 5 in d = -1, made the one hit of every search and
+    taken as 2-powerfully 2-perfect by the verifiers' index check.  No
+    odd-norm hit is known, so this is how a test reaches the checks an
+    odd-norm search runs on its hits."""
+    from quadperfect import search, theorems
+
+    z = Ring(-1).element(2, 1)
+    monkeypatch.setattr(search, "_find", lambda *args: [(z, factor(z))])
+    monkeypatch.setattr(theorems, "_index2", lambda z, fac: 2)
+    return z
+
+
 def box_elements(rg: Ring, amax: int, bmax: int) -> list[QuadInt]:
     """Every nonzero element with |a| <= amax, |b| <= bmax."""
     out = []
@@ -107,7 +120,7 @@ def element_count_hyperbola(rg: Ring, bound: int, odd_only: bool) -> int:
     chi = [0, 1]
     for j in range(2, mod):
         p = next(p for p in range(2, j + 1) if j % p == 0)
-        chi.append(0 if odd_only and p == 2 else _CHI[_classify(p, rg)] * chi[j // p])
+        chi.append(0 if odd_only and p == 2 else _classify(p, rg) * chi[j // p])
     pre = list(itertools.accumulate(chi))
     u = math.isqrt(bound)
     # A(x) = ceil(x / step) counts the a <= x, odd if odd_only.

@@ -193,6 +193,18 @@ class TestSearch:
         assert out == ""
         assert "qp: error: --odd-norm searches n=2, t=2 only" in err
 
+    def test_odd_norm_hit_prints_checks(self, capsys, forced_odd_hit):
+        from quadperfect import Ring, search_odd_norm
+
+        argv = ["search", "--d", "-1", "--bound", "100", "--odd-norm"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "checks [2.5] on 2+1*w:" in out
+        assert "checks [count] on 2+1*w:" in out
+        reps = search_odd_norm(Ring(-1), 100).hit_checks
+        obj = run_json(capsys, *argv)
+        assert obj["hit_checks"] == [[r.to_json() for r in reps[0]]]
+
     def test_odd_norm_explicit_n2_t2(self, capsys):
         argv = ["search", "--d", "-1", "--bound", "100", "--odd-norm"]
         obj = run_json(capsys, *argv, "--n", "2", "--t", "2")

@@ -27,7 +27,12 @@ from quadperfect import (
     split_prime_pair,
     valuation,
 )
-from quadperfect.primes import IntFactorization, int_valuation
+from quadperfect.primes import (
+    IntFactorization,
+    _classify,
+    _primes_above,
+    int_valuation,
+)
 
 from conftest import NORM2_D, norm_ball_brute
 
@@ -189,6 +194,9 @@ class TestClassification:
     def test_against_residue_oracle(self, rg):
         # Independent oracle: for odd p, d mod p is zero, a nonzero square
         # or a non-square; for p=2 the discriminant residue mod 8 decides.
+        # chi_D(p) is 1, 0 or -1 as p splits, ramifies or stays inert; then
+        # 1 + chi primes of norm p lie above p, or p itself, of norm p^2.
+        chi_of = {PrimeClass.SPLIT: 1, PrimeClass.RAMIFIED: 0, PrimeClass.INERT: -1}
         flags = sieve(1000)
         for p in range(2, 1000):
             if not flags[p]:
@@ -209,6 +217,13 @@ class TestClassification:
                 else:
                     expect = PrimeClass.INERT
             assert classify_rational_prime(p, rg) is expect, (p, rg.d)
+            chi = _classify(p, rg)
+            assert chi == chi_of[expect], (p, rg.d)
+            above = _primes_above(p, rg)
+            if chi >= 0:
+                assert len(above) == 1 + chi, (p, rg.d)
+            else:
+                assert above[0].norm() == p * p, (p, rg.d)
 
     def test_two_by_ring(self):
         table = {-1: "ramified", -2: "ramified", -7: "split"}

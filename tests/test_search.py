@@ -32,6 +32,7 @@ from quadperfect.primes import (
     _classify,
     _iroot,
     _norm_primes,
+    classify_rational_prime,
     factor_rational,
     is_prime,
 )
@@ -273,7 +274,7 @@ def index_norms(d: int, h: int, bound: int) -> dict[tuple[int, int], list[int]]:
         p, e, r = spf[N], 0, N
         while r % p == 0:
             r, e = r // p, e + 1
-        c = _classify(p, rg)
+        c = classify_rational_prime(p, rg)
         if sets[r] is None or (c is PrimeClass.INERT and e % 2):
             sets.append(None)
             continue
@@ -375,7 +376,7 @@ class TestCountAndWalk:
                 odd_inert = [
                     p
                     for p, e in factor_rational(N)
-                    if e % 2 and _classify(p, rg) is PrimeClass.INERT
+                    if e % 2 and classify_rational_prime(p, rg) is PrimeClass.INERT
                 ]
                 assert not odd_inert, (n, t, N)
 
@@ -396,7 +397,7 @@ class TestCountAndWalk:
         # Rules (a) and (c) of the denominator lemma cut the delta values
         # that reach the leaf test's integer root; rule (b) ends child loops
         # early, so the walk classifies fewer primes.  At 10^12 the walk
-        # takes 21-22 roots and 1031 classifications in each ring here;
+        # takes 21-22 roots and 1036 classifications in each ring here;
         # without (a) it takes 40-41 roots, without (c) 28-59 and without
         # (b) 1824 classifications, as it did before the lemma.
         roots, classes = [], []
@@ -417,6 +418,17 @@ class TestCountAndWalk:
             search._scan(Ring(d), 2, 2, 10**12, False)
             assert len(roots) <= 25, d
             assert len(classes) < 1200, d
+
+    def test_leaf_classifies_before_primality(self, monkeypatch):
+        # The leaf test skips an inert p before is_prime, so a probable
+        # prime past the witness limit raises only where it could be a leaf.
+        # With the limit at 10^5, 131071 = 2^17 - 1, inert in d = -7, meets
+        # the leaf test at m = 2^16 and would raise TooLarge.
+        from quadperfect import primes
+
+        monkeypatch.setattr(primes, "_MR_LIMIT", 10**5)
+        found = search._scan(Ring(-7), 2, 2, 2**16 * (2**17 - 1), False)
+        assert sorted(found) == [28, 8128, 33550336]
 
     def test_nodes_opened_have_work(self):
         # A parent opens a child only when one of its values passes v < t *
@@ -660,6 +672,17 @@ class TestOddNormScan:
         rep = search_odd_norm(rg, 2000)
         odd = sum(1 for z in ball(rg, 2000) if z.norm() % 2)
         assert rep.elements_scanned == odd
+
+    def test_hit_runs_checks(self, forced_odd_hit):
+        # Each hit gets the structure and prime-count verifiers, in order.
+        # z = 2 + w is one prime, so its shape passes and its count of 1
+        # fails the floor of 5.
+        rep = search_odd_norm(Ring(-1), 100)
+        assert rep.hits == [forced_odd_hit]
+        [[shape, count]] = rep.hit_checks
+        assert (shape.theorem, count.theorem) == ("2.5", "count")
+        assert shape.subject == forced_odd_hit == count.subject
+        assert shape.overall and not count.overall
 
     def test_inert_rings_allowed(self):
         # The odd-norm scan runs in every ring, not just the three with a

@@ -238,6 +238,15 @@ class TestStructureBounds:
         named = checks_by_name(check_structure_bounds(dec))
         assert not named["v_floor"].passed
 
+    def test_synthetic_split_q(self):
+        # q = 3 is prime and splits in d = -2, so element(3) is no prime of
+        # the ring: the valuation check fails as "q not inert".
+        rg = Ring(-2)
+        dec = EvenNormDecomposition(rg, rg.element(0, 1), 1, rg.element(1, 1), 3, 3, 1, 1)
+        named = checks_by_name(check_structure_bounds(dec))
+        assert named["inert_valuation"].actual == "q not inert"
+        assert not named["inert_valuation"].passed
+
     def test_counterexample_reports(self):
         dec = decompose_even(Ring(-2).element(2, 1))
         rep = check_structure_bounds(dec)
