@@ -1,14 +1,18 @@
 """Rational prime classification and unique factorization in the nine rings.
 
-The integer substrate is self-contained: Miller-Rabin with a witness set
-that is deterministic below 3.317e24 (above it a witness still proves
+The integer substrate is self-contained: Miller-Rabin with tiered
+witnesses, the first k primes for n below psi_k (OEIS A014233), which is
+deterministic below psi_13 = 3.317e24 (above it a witness still proves
 compositeness, and a probable prime raises TooLarge), and factoring in one
 loop (Cohen, GTM 138, ch. 8).  After 2, 3 and 5 are divided out, each pass
-over the cofactor n records n once it is prime, replaces a composite
-perfect power by its root, and otherwise divides out the next prime the
-2-3-5 wheel meets up to 10^6, or past 10^6 splits n by Brent's rho.  So
-once the wheel has passed every prime factor but the largest, the rest
-costs O(log n) modular steps.
+over the cofactor n records n once it is prime.  Otherwise it divides out
+the primes below 2^16 that n shares with the next block of 64 primes,
+found by one gcd with the block's product (Bernstein, "How to find smooth
+parts of integers", 2004); past the blocks it replaces a composite perfect
+power by its root, and otherwise divides out the next prime the 2-3-5
+wheel meets from 65537 up to 10^6, or past 10^6 splits n by Brent's rho.
+So once the blocks or the wheel have passed every prime factor but the
+largest, the rest costs O(log n) modular steps.
 
 On the quadratic side every prime fact is the Kronecker symbol chi_D(p):
 0, 1 or -1 as the discriminant D is zero, a nonzero square or a
@@ -26,7 +30,8 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import chain, count
+from bisect import bisect_right
+from itertools import chain, compress, count, islice
 
 from .errors import MixedRings, NotPrime, TooLarge, ZeroElement, require_ints
 from .records import Record
@@ -34,11 +39,18 @@ from .rings import QuadInt, Ring
 
 _TRIAL_BOUND = 10**6
 
-# Deterministic witness set for n < 3_317_044_064_679_887_385_961_981; the
-# same primes serve as is_prime's trial divisors and as the first exponents
-# of the perfect-power test.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+# psi_k of OEIS A014233: Miller-Rabin to the first k primes as witnesses is
+# deterministic for n < psi_k, so is_prime takes as many as n needs, and
+# the last psi bounds the deterministic range.  The same primes serve as
+# is_prime's trial divisors and as the first exponents of the perfect-power
+# test.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+_MR_LIMIT = _MR_PSI[-1]
 
 
 def is_prime(n: int) -> bool:
@@ -53,13 +65,13 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n < 41 * 41:
-        # No prime up to 37 divides n, so n has no factor below its root.
+    if n < 43 * 43:
+        # No prime up to 41 divides n, so n has no factor below its root.
         return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -121,7 +133,7 @@ def _perfect_power(n: int, lo: int) -> tuple[int, int] | None:
     Every prime factor of n > 1 is at least lo >= 2, so n = r^e needs
     lo^e <= n; a composite e = e1*e2 shows up as the prime e1 with root r^e2.
     """
-    for e in chain(_MR_BASES, filter(is_prime, count(41, 2))):
+    for e in chain(_MR_BASES, filter(is_prime, count(43, 2))):
         if lo**e > n:
             return None
         r = _iroot(n, e)
@@ -130,43 +142,81 @@ def _perfect_power(n: int, lo: int) -> tuple[int, int] | None:
 
 
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# The blocks of 64 primes from 7 up, each with its product, sieved so far;
+# _block extends them only as far as a walk reaches.  Two threads may both
+# append the next block; a walk then meets it twice, and the second time
+# its primes are gone from n, so no result changes.
+_blocks: list[tuple[int, tuple[int, ...]]] = []
+
+
+def _block(j: int) -> tuple[int, tuple[int, ...]]:
+    """The product and primes of block j, the primes 7 <= p < 2^16 from
+    place 64j on.  Each new block sieves the 1024 numbers above the last
+    one's largest prime and keeps the first 64 primes among them."""
+    while len(_blocks) <= j:
+        lo = _blocks[-1][1][-1] + 2 if _blocks else 7
+        hi = min(lo + 1024, 1 << 16)
+        flags = bytearray(b"\x01") * (hi - lo)
+        for q in range(3, math.isqrt(hi) + 1, 2):
+            s = max(q * q - lo, -lo % q)
+            flags[s::q] = bytes(len(range(s, hi - lo, q)))
+        primes = tuple(islice(compress(range(lo, hi, 2), flags[::2]), 64))
+        _blocks.append((math.prod(primes), primes))
+    return _blocks[j]
 
 
 def _factor_into(n: int, counts: dict[int, int], p: int, i: int, k: int = 1) -> None:
     """Add the prime factorization of n^k to counts.
 
-    No prime below p divides n, and p is the value at place i of the 2-3-5
-    wheel 7, 11, 13, 17, ...  Each pass records n once it is below p^2 or
-    prime, takes the root of a perfect power, or else divides out the next
-    prime the wheel meets up to 10^6, or past 10^6 splits n by rho.  So each
-    prime the wheel divides out costs one primality and one perfect-power
-    test, and the last cofactor one more.
+    No prime below p divides n; from 65537 on, p is the value at place i of
+    the 2-3-5 wheel 7, 11, 13, 17, ...  Each pass records n once it is below
+    p^2 or prime.  Otherwise, up to 65521, the largest prime below 2^16, it
+    divides out the primes of g = gcd(n, product) for the next block of 64
+    primes with g > 1.  Past the blocks it takes the root of a perfect
+    power, or else divides out the next prime the wheel meets from 65537 up
+    to 10^6, or past 10^6 splits n by rho.  So the primality test runs once
+    per block or wheel prime that divides n, and the perfect-power test
+    only where the wheel or rho would take over.
     """
+    j = 0
     while n > 1:
         if n < p * p or is_prime(n):
             counts[n] = counts.get(n, 0) + k
             return
-        # Rho needs about sqrt(q) steps to split a power of a large prime q.
-        root = _perfect_power(n, p)
-        if root is not None:
-            n, k = root[0], k * root[1]
-            continue
-        # n is composite and not a perfect power, so it has two distinct
-        # prime factors and the smaller is at most sqrt(n): the wheel stops.
-        while p <= _TRIAL_BOUND and n % p:
-            p += _WHEEL[i]
-            i = (i + 1) & 7
-        if p > _TRIAL_BOUND:
-            d = _brent_rho(n)
-            _factor_into(d, counts, p, i, k)
-            n //= d
-            continue
-        # Every prime below p is gone from n, so p is prime.
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        counts[p] = counts.get(p, 0) + k * e
+        # n is composite, so it has a prime factor below sqrt(n); a gcd with
+        # each block's product finds any below 2^16.
+        found = ()
+        while p <= 65521 and not found:
+            product, primes = _block(j)
+            j += 1
+            if (g := math.gcd(n, product)) > 1:
+                found = [q for q in primes if g % q == 0]
+            p = primes[-1] + 2
+        if not found:
+            if p < 65537:
+                p, i = 65537, 3
+            # The wheel needs n to have two distinct prime factors, and rho
+            # needs about sqrt(q) steps to split a power of a large prime q.
+            root = _perfect_power(n, p)
+            if root is not None:
+                n, k = root[0], k * root[1]
+                continue
+            # The wheel's tail from 2^16 to _TRIAL_BOUND stays as it was;
+            # cutting it, and _TRIAL_BOUND with it, is ROADMAP item 8's.
+            while p <= _TRIAL_BOUND and n % p:
+                p += _WHEEL[i]
+                i = (i + 1) & 7
+            if p > _TRIAL_BOUND:
+                d = _brent_rho(n)
+                _factor_into(d, counts, p, i, k)
+                n //= d
+                continue
+            # Every prime below p is gone from n, so p is prime.
+            found = (p,)
+        for q in found:
+            while n % q == 0:
+                n //= q
+                counts[q] = counts.get(q, 0) + k
 
 
 class IntFactorization(Record):
@@ -183,9 +233,10 @@ def factor_rational(n: int) -> IntFactorization:
     """Complete prime factorization of a positive integer.
 
     2, 3 and 5 are divided out first; the cofactor goes to one loop that
-    stops once it is a prime, takes the root of a composite perfect power
-    before trial division goes on, divides by the 2-3-5 wheel up to 10^6 and
-    splits what is left by Brent's rho.
+    stops once it is a prime, divides out the primes below 2^16 by one gcd
+    per block of 64 primes, then takes the root of a composite perfect
+    power, divides by the 2-3-5 wheel from 65537 up to 10^6 and splits what
+    is left by Brent's rho.
     """
     require_ints(n=n)
     if n < 1:

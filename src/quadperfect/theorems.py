@@ -183,16 +183,19 @@ def check_mersenne_inert(gamma: int, rg: Ring) -> VerifierReport:
     if gamma < 1:
         raise PreconditionFailed(f"gamma must be >= 1, got {gamma}")
     q = (1 << (gamma + 1)) - 1
-    prime = is_prime(q)
+    # classify_rational_prime's primality test serves both checks.
+    try:
+        cls = classify_rational_prime(q, rg)
+    except NotPrime:
+        cls = None
+    prime = cls is not None
     checks = [
         Check("q_value", f"2^{gamma + 1}-1", str(q), True),
         Check("q_prime", "prime", "prime" if prime else "composite", prime),
+        Check(
+            "q_inert", "inert", cls.value if prime else "q not prime", cls is PrimeClass.INERT
+        ),
     ]
-    if prime:
-        cls = classify_rational_prime(q, rg)
-        checks.append(Check("q_inert", "inert", cls.value, cls is PrimeClass.INERT))
-    else:
-        checks.append(Check("q_inert", "inert", "q not prime", False))
     if rg.d == -7:
         checks.extend(_congruence_checks(gamma, q))
     return VerifierReport("2.3" if rg.d == -7 else "2.1", None, checks)

@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from quadperfect import (
 )
 from quadperfect.primes import (
     IntFactorization,
+    _block,
     _classify,
     _primes_above,
     int_valuation,
@@ -46,6 +51,7 @@ def sieve(limit: int) -> list[bool]:
 
 
 PRIMES_BELOW_2000 = [p for p, prime in enumerate(sieve(1999)) if prime]
+PRIMES_7_TO_2_16 = [p for p, prime in enumerate(sieve(65535)) if prime and p >= 7]
 PRIMES_NEAR_BOUND = [
     n for n in range(999001, 1001000, 2) if all(n % p for p in PRIMES_BELOW_2000)
 ]
@@ -188,6 +194,116 @@ class TestIntegerSubstrate:
             int_valuation(4, 48)
         with pytest.raises(ZeroElement):
             int_valuation(2, 0)
+
+    # psi_k of OEIS A014233: the least odd composite that passes
+    # Miller-Rabin to each of the first k primes.
+    PSI = (
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+    )
+
+    def test_is_prime_rejects_strong_pseudoprimes(self):
+        for psi in self.PSI[:12]:
+            assert not is_prime(psi), psi
+        # psi_13 passes all thirteen witnesses and sits at the limit.
+        with pytest.raises(TooLarge):
+            is_prime(self.PSI[12])
+
+    def test_factor_rational_splits_psi_12(self):
+        p, q = 399165290221, 798330580441
+        assert p * q == self.PSI[11]
+        assert factor_rational(p * q).factors == ((p, 1), (q, 1))
+
+
+class TestSmallPrimeBlocks:
+    """factor_rational where the blocks of 64 primes below 2^16 meet each
+    other and the wheel from 65537."""
+
+    BLOCKS = [PRIMES_7_TO_2_16[i : i + 64] for i in range(0, len(PRIMES_7_TO_2_16), 64)]
+
+    @staticmethod
+    def check(counts: dict[int, int]) -> None:
+        n = math.prod(p**e for p, e in counts.items())
+        assert factor_rational(n).factors == tuple(sorted(counts.items())), n
+
+    def test_table(self):
+        blocks = [_block(j) for j in range(len(self.BLOCKS))]
+        assert [list(b) for _, b in blocks] == self.BLOCKS
+        assert all(prod == math.prod(b) for prod, b in blocks)
+        assert PRIMES_7_TO_2_16[-1] == 65521 and len(self.BLOCKS[-1]) < 64
+
+    def test_first_and_last_of_a_block(self):
+        # Blocks 4 and 5 meet at the twin primes 2141 and 2143.
+        assert self.BLOCKS[4][-1] + 2 == self.BLOCKS[5][0]
+        for j in (0, 1, 2, 4, 50, len(self.BLOCKS) - 2, len(self.BLOCKS) - 1):
+            first, last = self.BLOCKS[j][0], self.BLOCKS[j][-1]
+            self.check({first: 1, last: 1})
+            self.check({first: 2, last: 3})
+            self.check({2: 1, 5: 2, first: 1, last: 1})
+            # Across a block edge, and from the first block to this one.  The
+            # square of the next block's first prime is no prime, however
+            # close that prime lies to this block's last.
+            if j + 1 < len(self.BLOCKS):
+                self.check({last: 1, self.BLOCKS[j + 1][0]: 1})
+                self.check({last: 1, self.BLOCKS[j + 1][0]: 2})
+            self.check({7: 1, last: 2})
+
+    def test_wheel_edge(self):
+        self.check({65521: 1, 65537: 1})
+        self.check({65537: 2})
+        self.check({65519: 1, 65521: 1, 65537: 1, 65539: 1})
+        self.check({3: 1, 65521: 2, 65537: 2})
+
+    def test_smooth_times_prime_power_above_2_16(self):
+        for big in (65537, 65539, 1000003):
+            for e in (1, 2, 3, 5):
+                self.check({2: 3, 3: 1, 7: 2, 331: 1, 337: 1, 65521: 1, big: e})
+
+    def test_many_primes_of_one_block(self):
+        for j in (0, 7, len(self.BLOCKS) - 1):
+            block = self.BLOCKS[j]
+            self.check(dict.fromkeys(block, 1))
+            self.check({p: 1 + i % 3 for i, p in enumerate(block[::3])})
+            self.check({**dict.fromkeys(block[:5], 2), 1000003: 1, 1000033: 1})
+
+    def test_one(self):
+        assert factor_rational(1).factors == ()
+
+    def test_order_does_not_matter(self, monkeypatch):
+        # The table grows as far as a walk reaches, so its state before a
+        # call must not change the result.
+        ns = [
+            1, 7 * 331, 337 * 65521, 65537**2, 1000003 * 1000033,
+            2**5 * 311 * 313 * 317, 65521 * 65537, 10**12 + 39, 7**41 * 65521**3,
+        ]
+        runs = []
+        for order in (ns, ns[::-1]):
+            monkeypatch.setattr("quadperfect.primes._blocks", [])
+            runs.append({n: factor_rational(n).factors for n in order})
+        assert runs[0] == runs[1]
+        for n, factors in runs[0].items():
+            assert math.prod(p**e for p, e in factors) == n
+            assert all(is_prime(p) for p, _ in factors)
+
+    def test_small_factor_builds_at_most_one_block(self):
+        # In a fresh interpreter: importing builds no block, the README's
+        # qp factor example (norm 2 * 3^2 * 5) none, and 10+11i (norm 13 * 17)
+        # the first.
+        code = (
+            "import contextlib, io\n"
+            "from quadperfect import cli, primes\n"
+            "assert primes._blocks == []\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['factor', '--d', '-1', '--elem', '9+3*i'])\n"
+            "    cli.main(['factor', '--d', '-1', '--elem', '10+11*i'])\n"
+            "print(len(primes._blocks))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert int(out.stdout) == 1
 
 
 class TestClassification:

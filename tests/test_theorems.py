@@ -176,6 +176,21 @@ class TestMersenneInert:
         assert named["q_prime"].actual == "composite"  # 15 = 3 * 5
         assert not named["q_inert"].passed
 
+    def test_one_primality_test_per_q(self, monkeypatch):
+        from quadperfect import primes, theorems
+
+        real, seen = primes.is_prime, []
+
+        def counting(n):
+            seen.append(n)
+            return real(n)
+
+        monkeypatch.setattr(primes, "is_prime", counting)
+        monkeypatch.setattr(theorems, "is_prime", counting)
+        q = 2**61 - 1
+        assert check_mersenne_inert(60, Ring(-1)).overall
+        assert seen == [q]
+
     def test_gamma_1_d2_fails_split(self):
         # q = 3 splits in d=-2; exactly the norm-6 counterexample's shape.
         rep = check_mersenne_inert(1, Ring(-2))

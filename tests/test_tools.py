@@ -1,4 +1,5 @@
-"""tools/inproc_ab.py and tools/code_lines.py: each prints one JSON line."""
+"""tools/inproc_ab.py, tools/factor_diff.py and tools/code_lines.py: each
+prints one JSON line."""
 
 from __future__ import annotations
 
@@ -25,6 +26,18 @@ def test_inproc_ab_runs_both_sides():
         assert out[side]["ops"] == 20
         assert out[side]["round_s_median"] > 0
     assert 0 <= out["change_faster_pairs"] <= 2
+
+
+def test_factor_diff_same_tree():
+    # Both sides load this tree, so every number factors alike; the count
+    # reaches all four kinds of number.
+    cmd = [
+        sys.executable, str(ROOT / "tools" / "factor_diff.py"), "--base", str(ROOT),
+        "--change", str(ROOT), "--seed", "23", "--count", "40",
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out == {"seed": 23, "count": 40, "mismatches": 0, "first": []}
 
 
 def code_lines(root: Path) -> dict:
