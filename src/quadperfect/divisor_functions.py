@@ -24,8 +24,13 @@ DIVISOR_COUNT_CAP = 1 << 20
 
 
 def geo(q: int, k: int) -> int:
-    """1 + q + ... + q^k (0 when k = -1), for q >= 2."""
-    return (q ** (k + 1) - 1) // (q - 1)
+    """1 + q + ... + q^k (0 when k = -1), for q >= 2, by Horner's rule: k
+    multiplications by q and no division, as dividing q^(k+1) - 1 by q - 1
+    takes time quadratic in the digits of a huge q."""
+    s = 0
+    for _ in range(k + 1):
+        s = s * q + 1
+    return s
 
 
 def _check_even(n: int) -> int:

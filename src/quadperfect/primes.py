@@ -5,14 +5,21 @@ witnesses, the first k primes for n below psi_k (OEIS A014233), which is
 deterministic below psi_13 = 3.317e24 (above it a witness still proves
 compositeness, and a probable prime raises TooLarge), and factoring in one
 loop (Cohen, GTM 138, ch. 8).  After 2, 3 and 5 are divided out, each pass
-over the cofactor n records n once it is prime.  Otherwise it divides out
-the primes below 2^16 that n shares with the next block of 64 primes,
-found by one gcd with the block's product (Bernstein, "How to find smooth
-parts of integers", 2004); past the blocks it replaces a composite perfect
-power by its root, and otherwise divides out the next prime the 2-3-5
-wheel meets from 65537 up to 10^6, or past 10^6 splits n by Brent's rho.
-So once the blocks or the wheel have passed every prime factor but the
-largest, the rest costs O(log n) modular steps.
+over the cofactor n records n once it is prime, and replaces a perfect
+square by its root.  Otherwise it divides out the primes below 2^16 that n
+shares with the next block of 64 primes, found by one gcd with the block's
+product (Bernstein, "How to find smooth parts of integers", 2004); past
+the blocks it replaces a composite perfect power by its root, and
+otherwise divides out the next prime the 2-3-5 wheel meets from 65537 up
+to 10^6, or past 10^6 splits n by Brent's rho.  So once the blocks or the
+wheel have passed every prime factor but the largest, the rest costs
+O(log n) modular steps.
+
+The library enumerates primes in one place: _prime(i), the i-th prime,
+read from one segmented sieve of Eratosthenes that extends as far as a
+caller reaches.  The gcd blocks, the perfect-power exponents, the search's
+walk over the primes in order and theorems.smallest_odd_prime_norms all
+read it.
 
 On the quadratic side every prime fact is the Kronecker symbol chi_D(p):
 0, 1 or -1 as the discriminant D is zero, a nonzero square or a
@@ -31,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from itertools import chain, compress, count, islice
+from itertools import compress, count
 
 from .errors import MixedRings, NotPrime, TooLarge, ZeroElement, require_ints
 from .records import Record
@@ -42,8 +49,7 @@ _TRIAL_BOUND = 10**6
 # psi_k of OEIS A014233: Miller-Rabin to the first k primes as witnesses is
 # deterministic for n < psi_k, so is_prime takes as many as n needs, and
 # the last psi bounds the deterministic range.  The same primes serve as
-# is_prime's trial divisors and as the first exponents of the perfect-power
-# test.
+# is_prime's trial divisors.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PSI = (
     2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
@@ -133,7 +139,7 @@ def _perfect_power(n: int, lo: int) -> tuple[int, int] | None:
     Every prime factor of n > 1 is at least lo >= 2, so n = r^e needs
     lo^e <= n; a composite e = e1*e2 shows up as the prime e1 with root r^e2.
     """
-    for e in chain(_MR_BASES, filter(is_prime, count(43, 2))):
+    for e in map(_prime, count()):
         if lo**e > n:
             return None
         r = _iroot(n, e)
@@ -141,28 +147,48 @@ def _perfect_power(n: int, lo: int) -> tuple[int, int] | None:
             return r, e
 
 
+# The primes from 2 in increasing order, sieved so far; _prime extends the
+# list only as far as a caller reaches, and importing sieves nothing.  Every
+# list ever bound to _primes holds the primes from 2 up to some point, with
+# no repeat: an extension is built from one snapshot of the list and
+# published by rebinding the name, never by appending, and a reader indexes
+# its own snapshot.  Two threads that extend at once each publish a whole
+# prefix; a shorter one may win, and is extended again on demand.
+_primes: list[int] = []
+
+
+def _prime(i: int) -> int:
+    """The i-th prime, from _prime(0) = 2.  Each extension sieves the odd
+    numbers of [lo, lo + max(4096, lo // 8)) above the last prime."""
+    global _primes
+    ps = _primes
+    while len(ps) <= i:
+        lo = ps[-1] + 2 if ps else 3
+        hi = lo + max(4096, lo // 8)
+        flags = bytearray(b"\x01") * (hi - lo)
+        for q in range(3, math.isqrt(hi) + 1, 2):
+            s = max(q * q - lo, -lo % q)
+            flags[s::q] = bytes(len(range(s, hi - lo, q)))
+        ps = _primes = (ps or [2]) + list(compress(range(lo, hi, 2), flags[::2]))
+    return ps[i]
+
+
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
-# The blocks of 64 primes from 7 up, each with its product, sieved so far;
-# _block extends them only as far as a walk reaches.  Two threads may both
-# append the next block; a walk then meets it twice, and the second time
-# its primes are gone from n, so no result changes.
+# The blocks of 64 primes from 7 up, each with its product, built so far;
+# _block extends them only as far as a walk reaches, published like _primes.
 _blocks: list[tuple[int, tuple[int, ...]]] = []
 
 
 def _block(j: int) -> tuple[int, tuple[int, ...]]:
     """The product and primes of block j, the primes 7 <= p < 2^16 from
-    place 64j on.  Each new block sieves the 1024 numbers above the last
-    one's largest prime and keeps the first 64 primes among them."""
-    while len(_blocks) <= j:
-        lo = _blocks[-1][1][-1] + 2 if _blocks else 7
-        hi = min(lo + 1024, 1 << 16)
-        flags = bytearray(b"\x01") * (hi - lo)
-        for q in range(3, math.isqrt(hi) + 1, 2):
-            s = max(q * q - lo, -lo % q)
-            flags[s::q] = bytes(len(range(s, hi - lo, q)))
-        primes = tuple(islice(compress(range(lo, hi, 2), flags[::2]), 64))
-        _blocks.append((math.prod(primes), primes))
-    return _blocks[j]
+    place 64j on, read from the one sieve behind _prime."""
+    global _blocks
+    bs = _blocks
+    while len(bs) <= j:
+        k = 3 + 64 * len(bs)  # _prime(3) = 7
+        primes = tuple(p for p in map(_prime, range(k, k + 64)) if p < 1 << 16)
+        bs = _blocks = bs + [(math.prod(primes), primes)]
+    return bs[j]
 
 
 def _factor_into(n: int, counts: dict[int, int], p: int, i: int, k: int = 1) -> None:
@@ -170,19 +196,24 @@ def _factor_into(n: int, counts: dict[int, int], p: int, i: int, k: int = 1) -> 
 
     No prime below p divides n; from 65537 on, p is the value at place i of
     the 2-3-5 wheel 7, 11, 13, 17, ...  Each pass records n once it is below
-    p^2 or prime.  Otherwise, up to 65521, the largest prime below 2^16, it
-    divides out the primes of g = gcd(n, product) for the next block of 64
-    primes with g > 1.  Past the blocks it takes the root of a perfect
-    power, or else divides out the next prime the wheel meets from 65537 up
-    to 10^6, or past 10^6 splits n by rho.  So the primality test runs once
-    per block or wheel prime that divides n, and the perfect-power test
-    only where the wheel or rho would take over.
+    p^2 or prime, and replaces a perfect square by its root.  Otherwise, up
+    to 65521, the largest prime below 2^16, it divides out the primes of
+    g = gcd(n, product) for the next block of 64 primes with g > 1.  Past
+    the blocks it takes the root of a perfect power, or else divides out
+    the next prime the wheel meets from 65537 up to 10^6, or past 10^6
+    splits n by rho.  So the primality test runs once per block or wheel
+    prime that divides n, and the perfect-power test only where the wheel
+    or rho would take over.
     """
     j = 0
     while n > 1:
         if n < p * p or is_prime(n):
             counts[n] = counts.get(n, 0) + k
             return
+        # An inert prime's norm p^2 skips the blocks.
+        if (r := math.isqrt(n)) * r == n:
+            n, k = r, 2 * k
+            continue
         # n is composite, so it has a prime factor below sqrt(n); a gcd with
         # each block's product finds any below 2^16.
         found = ()
@@ -233,10 +264,10 @@ def factor_rational(n: int) -> IntFactorization:
     """Complete prime factorization of a positive integer.
 
     2, 3 and 5 are divided out first; the cofactor goes to one loop that
-    stops once it is a prime, divides out the primes below 2^16 by one gcd
-    per block of 64 primes, then takes the root of a composite perfect
-    power, divides by the 2-3-5 wheel from 65537 up to 10^6 and splits what
-    is left by Brent's rho.
+    stops once it is a prime, takes the root of a perfect square, divides
+    out the primes below 2^16 by one gcd per block of 64 primes, then takes
+    the root of a composite perfect power, divides by the 2-3-5 wheel from
+    65537 up to 10^6 and splits what is left by Brent's rho.
     """
     require_ints(n=n)
     if n < 1:

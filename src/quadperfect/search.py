@@ -9,8 +9,8 @@ the two conjugate primes above p as (r, e - r).  Because delta(n, z) is a
 product of geometric sums over z's prime factorization, each element's
 delta follows from those (r, e - r) and the ramified and inert exponents
 alone, in exact integer arithmetic.  A depth-first walk over the norms,
-each node holding only its norm and its elements' delta values, finds
-its primes as it first reaches them, keeps only each prime p and
+each node holding only its norm and its elements' delta values, reads
+its primes in order from the shared sieve, keeps only each prime p and
 chi_D(p), and returns the norms that hit.  A node's child loop tests each
 child for a hit itself.  It opens the child only when the child's norm
 leaves room for one more prime and some of its values are below the
@@ -37,6 +37,7 @@ from .primes import (
     _factor_element,
     _iroot,
     _norm_primes,
+    _prime,
     is_prime,
 )
 from .records import Record
@@ -143,8 +144,8 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
     m * p with no children, tested in closed form; an inert p is skipped
     there, before its primality test, as m * p is no norm.  The list holds
     each prime p with chi_D(p), 1, 0 or -1 as p splits, ramifies or stays
-    inert, and grows as the walk first reaches each prime; each child loop
-    works out its own steps.
+    inert, and reads the shared sieve as the walk first reaches each prime,
+    with no primality test; each child loop works out its own steps.
 
     Pruning.  A descendant of m is m * M, cap = bound // m >= M > 1, and
     its hits are the elements x * y with delta(x) = v one of m's values and
@@ -195,9 +196,7 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
     walk = []  # (p, chi(p)) in order; it always holds every node's start
 
     def grow():
-        p = walk[-1][0] + 1 if walk else 3 if odd_only else 2
-        while not is_prime(p):
-            p += 1
+        p = _prime(len(walk) + odd_only)
         walk.append((p, _classify(p, rg)))
 
     def kept(vals, tm, cap, below):

@@ -31,6 +31,7 @@ from .primes import (
     PrimeClass,
     QuadFactorization,
     _classify,
+    _prime,
     classify_rational_prime,
     factor,
     is_prime,
@@ -280,17 +281,17 @@ def smallest_odd_prime_norms(rg: Ring, count: int) -> list[int]:
     require_ints(count=count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    # Each odd p adds norms of at least p, so once the count-th norm is at
-    # most the next p, no later p changes the first count.
+    # Each odd prime p adds norms of at least p, so once the count-th norm
+    # is at most the next odd prime, no later p changes the first count.
     norms: list[int] = []
-    p = 3
-    while len(norms) < count or norms[count - 1] > p:
-        if is_prime(p):
-            # 1 + chi_D(p) primes of norm p lie above p, or one of norm p^2
-            # when p is inert.
-            for q in [p] * (1 + _classify(p, rg)) or [p * p]:
-                insort(norms, q)
-        p += 2
+    i = 1  # _prime(1) = 3
+    while len(norms) < count or norms[count - 1] > _prime(i):
+        p = _prime(i)
+        # 1 + chi_D(p) primes of norm p lie above p, or one of norm p^2 when
+        # p is inert.
+        for q in [p] * (1 + _classify(p, rg)) or [p * p]:
+            insort(norms, q)
+        i += 1
     return norms[:count]
 
 

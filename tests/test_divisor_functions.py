@@ -3,7 +3,11 @@ indices and the classical integer sigma."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +30,7 @@ from quadperfect import (
     is_prime,
     sigma,
 )
-from quadperfect.divisor_functions import NAIVE_NORM_CAP
+from quadperfect.divisor_functions import NAIVE_NORM_CAP, geo
 
 from conftest import divisors_by_product, norm_ball_brute, random_elements
 
@@ -184,6 +188,25 @@ class TestDelta:
         for pi, e in expect.items():
             closed *= sum(pi.norm() ** (h * i) for i in range(e + 1))
         assert delta(n, z) == (closed if n > 0 else Fraction(closed, z.norm() ** h))
+
+    def test_geo_matches_closed_form(self):
+        for q in range(2, 50):
+            for k in range(-1, 8):
+                assert geo(q, k) == (q ** (k + 1) - 1) // (q - 1), (q, k)
+
+    def test_huge_exponent_fresh_process(self):
+        # delta(2 * 10^6, 2 + i) = 5^(10^6) + 1: geo builds the sum by
+        # Horner's rule, with no division of a 4.6-million-bit power by q - 1.
+        code = (
+            "from quadperfect import Ring, delta\n"
+            "print(delta(2 * 10**6, Ring(-1).element(2, 1)) % 1000)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            check=True, timeout=2,
+        )
+        assert int(out.stdout) == (pow(5, 10**6, 1000) + 1) % 1000
 
     def test_naive_cap(self):
         big = Ring(-1).element(1001, 1000)

@@ -31,10 +31,12 @@ from quadperfect import (
     split_prime_pair,
     valuation,
 )
+from quadperfect import primes
 from quadperfect.primes import (
     IntFactorization,
     _block,
     _classify,
+    _prime,
     _primes_above,
     int_valuation,
 )
@@ -287,13 +289,13 @@ class TestSmallPrimeBlocks:
             assert all(is_prime(p) for p, _ in factors)
 
     def test_small_factor_builds_at_most_one_block(self):
-        # In a fresh interpreter: importing builds no block, the README's
-        # qp factor example (norm 2 * 3^2 * 5) none, and 10+11i (norm 13 * 17)
-        # the first.
+        # In a fresh interpreter: importing sieves nothing and builds no
+        # block, the README's qp factor example (norm 2 * 3^2 * 5) builds
+        # none, and 10+11i (norm 13 * 17) the first.
         code = (
             "import contextlib, io\n"
             "from quadperfect import cli, primes\n"
-            "assert primes._blocks == []\n"
+            "assert primes._blocks == [] and primes._primes == []\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    cli.main(['factor', '--d', '-1', '--elem', '9+3*i'])\n"
             "    cli.main(['factor', '--d', '-1', '--elem', '10+11*i'])\n"
@@ -304,6 +306,66 @@ class TestSmallPrimeBlocks:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert int(out.stdout) == 1
+
+    def test_inert_square_skips_the_blocks(self):
+        # An inert prime's norm p^2 with p > 2^16 goes to its root before
+        # any block is built, in a fresh interpreter.
+        code = (
+            "from quadperfect import primes\n"
+            "print(primes.factor_rational(10000019**2).factors, primes._blocks)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.split() == ["((10000019,", "2),)", "[]"]
+
+
+class TestPrimeSieve:
+    """_prime, the one segmented sieve behind the blocks, the perfect-power
+    exponents, the walk and smallest_odd_prime_norms."""
+
+    LIMIT = 70000
+
+    def test_matches_is_prime_across_segment_edges(self, monkeypatch):
+        # From an empty list: segments of 4096 numbers up to 32768, then of
+        # lo // 8 numbers; the first dozen edges lie below LIMIT.
+        monkeypatch.setattr(primes, "_primes", [])
+        expect = [n for n in range(2, self.LIMIT) if is_prime(n)]
+        edges = []
+        for i in range(len(expect)):
+            assert _prime(i) == expect[i], i
+            if primes._primes[-1] not in edges:
+                edges.append(primes._primes[-1])
+        assert len(edges) >= 12
+        assert any(b - a > 4096 for a, b in zip(edges, edges[1:]))
+        assert primes._primes[: len(expect)] == expect
+
+    def test_any_order_of_requests(self, monkeypatch):
+        # A far request sieves every segment up to it in one call.
+        monkeypatch.setattr(primes, "_primes", [])
+        last = _prime(6541)
+        assert last == 65521 and _prime(0) == 2 and _prime(3) == 7
+        assert primes._primes == [n for n in range(2, primes._primes[-1] + 1) if is_prime(n)]
+
+    def test_walk_or_factoring_first(self, monkeypatch):
+        # The walk, the gcd blocks and the perfect-power test share the list,
+        # so which of them grows it first changes no result.
+        from quadperfect.search import _scan
+
+        ns = [7 * 331, 337 * 65521, 65537**3, 1000003 * 1000033, 7**41 * 65521**3]
+        runs = []
+        for walk_first in (True, False):
+            monkeypatch.setattr(primes, "_primes", [])
+            monkeypatch.setattr(primes, "_blocks", [])
+            if walk_first:
+                found = sorted(_scan(Ring(-7), 2, 2, 10**12, False))
+            facs = {n: factor_rational(n).factors for n in ns}
+            if not walk_first:
+                found = sorted(_scan(Ring(-7), 2, 2, 10**12, False))
+            runs.append((found, facs, [b for _, b in primes._blocks]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [28, 8128, 33550336, 137438691328]
 
 
 class TestClassification:

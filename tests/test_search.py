@@ -12,6 +12,8 @@ import subprocess
 import sys
 import time
 from bisect import bisect_right
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -418,6 +420,52 @@ class TestCountAndWalk:
             search._scan(Ring(d), 2, 2, 10**12, False)
             assert len(roots) <= 25, d
             assert len(classes) < 1200, d
+
+    def test_primality_only_at_leaves(self, monkeypatch):
+        # The walk reads its primes from the shared sieve, so is_prime runs
+        # only in the leaf test, on an integer root, at most once per root.
+        roots, tested = [], []
+
+        def counting_root(x, k):
+            roots.append(r := _iroot(x, k))
+            return r
+
+        def counting_prime(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(search, "_iroot", counting_root)
+        monkeypatch.setattr(search, "is_prime", counting_prime)
+        found = search._scan(Ring(-7), 2, 2, 10**12, False)
+        assert sorted(found) == [28, 8128, 33550336, 137438691328]
+        assert tested and not Counter(tested) - Counter(roots)
+
+    def test_two_threads_share_the_sieve(self, monkeypatch):
+        # Two walks that extend the shared prime list at once find what each
+        # finds alone, and leave the list the primes from 2, each once; a
+        # repeat would make a walk take p * p for two primes.
+        from quadperfect import primes
+
+        ds, bound = (-1, -7), 10**14
+
+        def walk(d):
+            return sorted(search._scan(Ring(d), 2, 2, bound, False))
+
+        alone = [walk(d) for d in ds]
+        interval = sys.getswitchinterval()
+        # Switching threads often, and starting from an empty list a few
+        # times, makes the two walks extend the list at once.
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                monkeypatch.setattr(primes, "_primes", [])
+                monkeypatch.setattr(primes, "_blocks", [])
+                with ThreadPoolExecutor(2) as pool:
+                    assert list(pool.map(walk, ds, timeout=60)) == alone
+                ps = primes._primes
+                assert ps == [n for n in range(2, ps[-1] + 1) if is_prime(n)]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_leaf_classifies_before_primality(self, monkeypatch):
         # The leaf test skips an inert p before is_prime, so a probable
