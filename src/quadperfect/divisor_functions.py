@@ -8,6 +8,14 @@ closed form multiplies geometric sums over the prime factorization, and
 delta(-n, z) = index(n, z) because x -> z/x permutes the divisor classes;
 delta_naive re-sums over an explicit divisor list and exists to keep the
 closed form honest.
+
+The closed form needs no factorization of z, only of N(z), by the content
+lemma: if p splits as pi * pibar and p^e exactly divides N(z), then pi and
+pibar divide z = a + b*w to the powers s and e - s in some order, where
+s = v_p(gcd(a, b)).  Proof: p^m divides z exactly when p^m divides a and
+b, as 1 and w are a basis; and p^m = pi^m pibar^m up to a unit, so the
+largest such m is the smaller of the two powers.  A split p's factor
+geo(q, r) * geo(q, e - r) is symmetric in the share, so s is enough.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import OddExponent, TooLarge, ZeroElement, require_ints
-from .primes import QuadFactorization, factor, factor_rational
+from .primes import QuadFactorization, _classify, factor, factor_rational
 from .rings import QuadInt
 
 NAIVE_NORM_CAP = 10**6
@@ -77,12 +85,34 @@ def _geo_product(h: int, fac: QuadFactorization) -> int:
 
 
 def delta(n: int, z: QuadInt) -> int | Fraction:
-    """Sum of N(x)^(n/2) over the divisor classes x of z, closed form."""
+    """Sum of N(x)^(n/2) over the divisor classes x of z, closed form.
+
+    The product runs over p^e exactly dividing N(z), with q = p^|n/2|:
+    geo(q, e) for a ramified p, geo(q^2, e/2) for an inert p, and
+    geo(q, s) * geo(q, e - s) for a split p, where s = v_p(gcd(a, b)) for
+    z = a + b*w.  That is the content lemma: the primes pi and pibar above a
+    split p divide z to the powers s and e - s in some order, since p^m
+    divides z exactly when it divides both a and b, and p^m = pi^m pibar^m.
+    So delta factors N(z) once and never z itself.
+    """
     h = _check_even(n)
     if z.is_zero():
         raise ZeroElement("delta is undefined at zero")
-    total = _geo_product(abs(h), factor(z))
-    return total if h > 0 else Fraction(total, z.norm() ** -h)
+    rg, norm, content, k = z.ring, z.norm(), math.gcd(z.a, z.b), abs(h)
+    total = 1
+    for p, e in factor_rational(norm):
+        chi, q = _classify(p, rg), p**k
+        if chi > 0:
+            s = 0
+            while content % p == 0:
+                content //= p
+                s += 1
+            total *= geo(q, s) * geo(q, e - s)
+        elif chi == 0:
+            total *= geo(q, e)
+        else:
+            total *= geo(q * q, e // 2)
+    return total if h > 0 else Fraction(total, norm**k)
 
 
 def delta_naive(n: int, z: QuadInt) -> int | Fraction:

@@ -27,10 +27,14 @@ non-square mod p (for p = 2: D even, D = 1 mod 8 or D = 5 mod 8), that is,
 as p ramifies, splits or stays inert.  1 + chi_D(p) primes of norm p lie
 above p, and when chi_D(p) = -1 p itself is the one prime above it, of
 norm p^2.  A prime of norm p comes from a square root of the discriminant
-mod p (Tonelli-Shanks) and Cornacchia's algorithm, both O(log p) steps.
-An element factorization finds the exponent of one prime of each split
-pair by repeated exact division and gives its conjugate the rest of the
-norm's exponent.
+mod p and Cornacchia's algorithm, both O(log p) steps; the root is one
+power when p = 3 mod 4, and Tonelli-Shanks otherwise.  An element
+factorization reads the shares of each split p^e off z = a + b*w itself:
+the smaller share is s = v_p(gcd(a, b)), and when e > 2s the prime above
+p that divides z / p^s takes e - s, the one that maps w to the residue
+-a'/b' mod p of z / p^s = a' + b'*w.  That residue also gives the square
+root of D, so only a split prime with equal shares needs one found
+afresh.  One exact division, for the unit, checks the shares.
 """
 
 from __future__ import annotations
@@ -325,11 +329,14 @@ def classify_rational_prime(p: int, rg: Ring) -> PrimeClass:
 
 
 def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of the quadratic residue a modulo an odd prime p
-    (Tonelli-Shanks)."""
+    """A square root of the quadratic residue a modulo an odd prime p: one
+    power a^((p+1)/4) when p = 3 mod 4, as a^((p-1)/2) = 1 makes its square
+    a, and Tonelli-Shanks otherwise."""
     a %= p
     if a == 0:
         return 0
+    if p & 3 == 3:
+        return pow(a, (p + 1) >> 2, p)
     s = ((p - 1) & (1 - p)).bit_length() - 1
     q = (p - 1) >> s
     z = 2
@@ -345,8 +352,11 @@ def _sqrt_mod(a: int, p: int) -> int:
     return r
 
 
-def _norm_equation_solutions(p: int, rg: Ring) -> list[QuadInt]:
-    """An x with N(x) = p and its conjugate, for a split or ramified p."""
+def _norm_equation_solutions(
+    p: int, rg: Ring, root: int | None = None
+) -> list[QuadInt]:
+    """An x with N(x) = p and its conjugate, for a split or ramified p;
+    root, when given, is a square root of D mod p."""
     # 4 N(a + b*w) = (2a + T*b)^2 - D*b^2 with D < 0, so solve
     # u^2 - D v^2 = 4p by the 4p form of Cornacchia's algorithm (Cohen,
     # Alg. 1.5.3) and take b = v, a = (u - T*v)/2.
@@ -355,7 +365,7 @@ def _norm_equation_solutions(p: int, rg: Ring) -> list[QuadInt]:
         # 8 = u^2 - D v^2 forces v = 1, so 8 + D must be a square.
         u, v = math.isqrt(8 + D), 1
     else:
-        u = _sqrt_mod(D, p)
+        u = _sqrt_mod(D, p) if root is None else root
         if (u - D) % 2:
             u = p - u
         a, lim = 2 * p, math.isqrt(4 * p)
@@ -367,11 +377,13 @@ def _norm_equation_solutions(p: int, rg: Ring) -> list[QuadInt]:
     return [x, x.conjugate()]
 
 
-def _primes_above(p: int, rg: Ring) -> tuple[QuadInt, ...]:
+def _primes_above(p: int, rg: Ring, root: int | None = None) -> tuple[QuadInt, ...]:
+    """The canonical primes above p; root, when given, is a square root of
+    D mod p, and saves finding one."""
     chi = _classify(p, rg)
     if chi < 0:
         return (rg.element(p),)
-    reps = {z.canonical_associate() for z in _norm_equation_solutions(p, rg)}
+    reps = {z.canonical_associate() for z in _norm_equation_solutions(p, rg, root)}
     # Every rep has norm p: largest a, then smallest b.
     ordered = sorted(reps, key=lambda z: (-z.a, z.b))
     assert len(ordered) == 1 + chi
@@ -459,23 +471,46 @@ def _norm_primes(n: int, rg: Ring) -> list[tuple[int, int, tuple[QuadInt, ...]]]
     return [(p, e, _primes_above(p, rg)) for p, e in factor_rational(n)]
 
 
-def _factor_element(z: QuadInt, primes) -> QuadFactorization:
-    """The factorization of a nonzero z, given _norm_primes(N(z), z.ring)."""
+def _factor_element(z: QuadInt, primes=None) -> QuadFactorization:
+    """The factorization of a nonzero z.  primes, when given, is
+    _norm_primes(N(z), z.ring), whose primes above each p it reuses.
+
+    At a split p^e the two primes above p share e as (e - s, s), where
+    s = v_p(c) for the content c = gcd(a, b) of z = a + b*w: p^m divides z
+    exactly when it divides a and b, and p^m = pi^m pibar^m, so the smaller
+    share is s.  When e > 2s, z' = z / p^s has content prime to p, so p does
+    not divide b', and z' lies in the one prime above p that maps w to the
+    residue rho = -a' / b' mod p; that prime, x + y*w with x + y*rho = 0 mod
+    p, takes e - s.  rho is a root of w^2 = T*w + c mod p, so 2 rho - T is a
+    square root of D, and the primes above p start from it."""
     rg = z.ring
+    if primes is None:
+        primes = [(p, e, None) for p, e in factor_rational(z.norm())]
+    content = math.gcd(z.a, z.b)
     factors: list[tuple[QuadInt, int]] = []
     for p, e, above in primes:
-        if len(above) == 2:
-            # The conjugate prime takes what pi leaves of p^e; were r wrong,
-            # the unit check below would fail.
-            pi, pibar = above
-            r = _valuation_unchecked(pi, z)
+        split = len(above) == 2 if above else _classify(p, rg) > 0
+        if split:
+            s = 0
+            while content % p == 0:
+                content //= p
+                s += 1
+            rho = root = None
+            if e > 2 * s:
+                ps = p**s
+                rho = -(z.a // ps) * pow(z.b // ps, -1, p) % p
+                root = (2 * rho - rg.T) % p
+            pi, pibar = above or _primes_above(p, rg, root)
+            # Were the share wrong, the unit check below would fail.
+            r = s if rho is None or (pi.a + pi.b * rho) % p else e - s
             factors += [(x, k) for x, k in ((pi, r), (pibar, e - r)) if k]
         else:
             # A ramified prime has norm p; an inert one has norm p^2, so it
             # contributes a square to N(z).
-            k, odd = divmod(e, 1 if above[0].norm() == p else 2)
+            pi = (above or _primes_above(p, rg))[0]
+            k, odd = divmod(e, 1 if pi.norm() == p else 2)
             assert not odd, (z, p, e)
-            factors.append((above[0], k))
+            factors.append((pi, k))
     factors.sort(key=lambda fe: fe[0].sort_key())
     rest = rg.one()
     for pi, e in factors:
@@ -489,4 +524,4 @@ def factor(z: QuadInt) -> QuadFactorization:
     """Unique factorization of a nonzero element."""
     if z.is_zero():
         raise ZeroElement("cannot factor the zero element")
-    return _factor_element(z, _norm_primes(z.norm(), z.ring))
+    return _factor_element(z)

@@ -19,8 +19,9 @@ the child only those values.  It stops at the first prime where even the
 largest value left would need an index out of reach by size.
 Each hit norm is factored once, into rational primes and the primes above
 them.  That builds the norm's elements, and re-validates each of them:
-its split exponents by exact division, its unit by the last division, and
-delta by the sum over its divisor classes, before it is reported.
+its split exponents from its content and its residue mod p, its unit by
+one exact division, and delta by the sum over its divisor classes, before
+it is reported.
 """
 
 from __future__ import annotations
@@ -289,12 +290,12 @@ def _revalidate(z: QuadInt, primes, n: int, t: int) -> QuadFactorization:
     # produced it.  It shares with _hits_of_norm only primes, that is
     # factor_rational(N) and _primes_above(p) for each p, the same pure
     # functions of N and p that a fresh factor(z) would call.  The rest is
-    # its own: each split exponent comes from exact division of z, the unit
-    # from the last exact_divide and is_unit, and delta from the sum of
-    # N(x)^h over an explicit divisor list at every norm, not from the geo
-    # closed form that picked the hit.  The list's cap of 2^20 classes lies
-    # far beyond any norm bound the count can scan.  Returns z's
-    # factorization.
+    # its own: each split exponent comes from z's content and its residue
+    # mod p, the unit from the last exact_divide and is_unit, which fail
+    # were a share wrong, and delta from the sum of N(x)^h over an explicit
+    # divisor list at every norm, not from the geo closed form that picked
+    # the hit.  The list's cap of 2^20 classes lies far beyond any norm
+    # bound the count can scan.  Returns z's factorization.
     fac = _factor_element(z, primes)
     h = n // 2
     if sum(x.norm() ** h for x in _divisor_products(fac)) != t * z.norm() ** h:

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadperfect import (
+    ADMISSIBLE_D,
     NotPrime,
     PrimeClass,
+    QuadInt,
     Ring,
     TooLarge,
     ZeroElement,
+    abundancy_index,
     classify_rational_prime,
+    delta,
+    delta_naive,
     factor,
     factor_rational,
     is_prime,
@@ -36,12 +42,17 @@ from quadperfect.primes import (
     IntFactorization,
     _block,
     _classify,
+    _factor_element,
+    _norm_primes,
     _prime,
     _primes_above,
+    _sqrt_mod,
+    _valuation_unchecked,
     int_valuation,
 )
 
 from conftest import NORM2_D, norm_ball_brute
+from quadperfect.divisor_functions import NAIVE_NORM_CAP, geo
 
 
 def sieve(limit: int) -> list[bool]:
@@ -628,3 +639,137 @@ class TestFactor:
         by_prime = {pi: e for pi, e in fac.factors}
         assert by_prime[rg.element(2, 1)] == 3
         assert by_prime[rg.element(1, 2)] == 1  # canonical associate of 2-i
+
+
+def tonelli_shanks(a: int, p: int) -> int:
+    """Oracle for _sqrt_mod: Tonelli-Shanks at every odd prime p."""
+    a %= p
+    if a == 0:
+        return 0
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def test_sqrt_mod_matches_tonelli_shanks():
+    # For p = 3 mod 4 Tonelli-Shanks has s = 1 and returns a^((p+1)/4) as
+    # well, so the two agree exactly, not only up to sign.
+    primes = [p for p, prime in enumerate(sieve(10**5)) if prime and p > 2]
+    for d in ADMISSIBLE_D:
+        D = Ring(d).D
+        for p in primes:
+            if D % p == 0 or pow(D % p, (p - 1) // 2, p) == 1:
+                r = _sqrt_mod(D, p)
+                assert r == tonelli_shanks(D, p) and (r * r - D) % p == 0, (d, p)
+
+
+def ramified_prime(rg: Ring) -> int:
+    """The one rational prime dividing D: 2 for d = -1, -2, else |d|."""
+    return 2 if rg.D % 4 == 0 else -rg.d
+
+
+def built_elements(rg: Ring, seed: int, count: int) -> list[tuple[QuadInt, dict]]:
+    """Seeded z = unit * p^s * pi^r * pibar^(e - r) * q^k * rho^j, with pi and
+    pibar the primes above one or two split p, q inert and rho ramified;
+    each z comes with its prime exponents, by construction.  The list
+    starts with the forced cases: s >= 1 with e = 0, where z = p^s * ... and
+    the shares are equal; s >= 1 with e > 0, where p divides a and b; the
+    split 2 of d = -7; the prime w of norm -c, whose residue is 0; and a
+    split prime above 10^12."""
+    rnd = random.Random(seed * 1000003 - rg.d)
+    small = [p for p in PRIMES_BELOW_2000 if p < 200 and _classify(p, rg) > 0]
+    inert = [q for q in PRIMES_BELOW_2000 if q < 50 and _classify(q, rg) < 0]
+    big = next_prime(10**12)
+    while _classify(big, rg) <= 0:
+        big = next_prime(big + 1)
+    # Each shape lists (p, s, r, e) for its split primes.
+    shapes = [[(small[0], 1, 0, 0)], [(small[1], 1, 1, 2)], [(small[0], 2, 0, 3)]]
+    if _classify(2, rg) > 0:
+        shares = ((0, 0, 3), (1, 1, 1), (1, 0, 0), (2, 2, 3))
+        shapes += [[(2, s, r, e)] for s, r, e in shares]
+    if _classify(-rg.c, rg) > 0:
+        shapes += [[(-rg.c, 0, 2, 2)], [(-rg.c, 1, 0, 1), (small[-1], 0, 1, 1)]]
+    shapes += [[(big, 0, 1, 1)], [(big, 1, 0, 2), (small[0], 0, 1, 2)]]
+    while len(shapes) < count:
+        shape = []
+        for p in rnd.sample(small, rnd.randint(1, 2)):
+            e = rnd.randint(0, 3)
+            shape.append((p, rnd.randint(0, 2), rnd.randint(0, e), e))
+        shapes.append(shape)
+    out = []
+    ram = prime_above(ramified_prime(rg), rg)
+    for shape in shapes:
+        z = rnd.choice(rg.units())
+        exps: dict[QuadInt, int] = {}
+        for p, s, r, e in shape:
+            pi, pibar = split_prime_pair(p, rg)
+            z = z * rg.element(p) ** s * pi**r * pibar ** (e - r)
+            exps[pi], exps[pibar] = s + r, s + e - r
+        q, k, j = rg.element(rnd.choice(inert)), rnd.randint(0, 1), rnd.randint(0, 2)
+        z = z * q**k * ram**j
+        exps[q], exps[ram] = k, j
+        out.append((z, {pi: e for pi, e in exps.items() if e}))
+    return out
+
+
+class TestContentAndResidue:
+    """factor takes each split share from the content and the residue of z,
+    and delta reads them off N(z) and the content alone."""
+
+    def test_factor_matches_construction(self, rg, monkeypatch):
+        roots = []
+        monkeypatch.setattr(
+            primes, "_sqrt_mod", lambda a, p: roots.append(p) or _sqrt_mod(a, p)
+        )
+        for z, exps in built_elements(rg, 7, 40):
+            roots.clear()
+            fac = factor(z)
+            want = sorted(exps.items(), key=lambda fe: fe[0].sort_key())
+            assert fac.factors == tuple(want), z
+            assert fac.value() == z and fac.unit.is_unit()
+            # The residue's root replaces the square root of D, except where
+            # the two shares are equal.
+            c = math.gcd(z.a, z.b)
+            equal = {
+                p for p, e in factor_rational(z.norm())
+                if p > 2 and _classify(p, rg) > 0 and e == 2 * int_valuation(p, c)
+            }
+            assert {p for p in roots if rg.D % p} == equal, z
+            again = _factor_element(z, _norm_primes(z.norm(), rg))
+            assert (again.unit, again.factors) == (fac.unit, fac.factors)
+            for pi, e in fac.factors:
+                assert _valuation_unchecked(pi, z) == e, (z, pi)
+
+    def test_delta_matches_construction(self, rg):
+        for z, exps in built_elements(rg, 11, 40):
+            want = {
+                h: math.prod(geo(pi.norm() ** h, e) for pi, e in exps.items())
+                for h in (1, 2)
+            }
+            assert delta(2, z) == want[1] and delta(4, z) == want[2], z
+            assert delta(-2, z) == Fraction(want[1], z.norm()), z
+            assert abundancy_index(2, z) == delta(-2, z), z
+            if z.norm() <= NAIVE_NORM_CAP:
+                for n in (2, -2, 4):
+                    assert delta(n, z) == delta_naive(n, z), (n, z)
+
+    def test_delta_builds_no_prime_above(self, rg, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("delta factored the element")
+
+        built = built_elements(rg, 13, 10)
+        monkeypatch.setattr(primes, "_factor_element", refuse)
+        monkeypatch.setattr(primes, "_primes_above", refuse)
+        for z, _ in built:
+            delta(2, z)
+            abundancy_index(4, z)

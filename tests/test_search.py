@@ -583,6 +583,22 @@ def test_walk_grid():
     assert walk_grid() == json.loads(WALK_GRID.read_text())
 
 
+FRESH_SRC = Path(__file__).resolve().parent.parent / "src"
+# A child that compiles the package holds the compiler's memory at its peak,
+# so no child is told not to write bytecode, and fresh_lines writes the
+# cache once before its first child.
+FRESH_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"},
+    "PYTHONPATH": str(FRESH_SRC),
+}
+
+
+@functools.cache
+def write_bytecode_cache() -> None:
+    code = "import quadperfect, quadperfect.search, quadperfect.cli"
+    subprocess.run([sys.executable, "-c", code], env=FRESH_ENV, check=True)
+
+
 def fresh_lines(code: str, timeout: float | None = None) -> list[str]:
     """The lines code prints in a fresh interpreter with src on the path,
     then one more: that process's peak RSS in KiB.  The run fails after
@@ -595,12 +611,12 @@ def fresh_lines(code: str, timeout: float | None = None) -> list[str]:
         "print(next(s for s in open('/proc/self/status')"
         " if 'VmHWM' in s).split()[1])\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
+    write_bytecode_cache()
     return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=FRESH_ENV,
         check=True,
         timeout=timeout,
     ).stdout.splitlines()

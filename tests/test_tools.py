@@ -40,6 +40,18 @@ def test_factor_diff_same_tree():
     assert out == {"seed": 23, "count": 40, "mismatches": 0, "first": []}
 
 
+def test_factor_diff_elements_same_tree():
+    # Both sides load this tree; 40 elements reach all four kinds, each in
+    # some of the nine rings.
+    cmd = [
+        sys.executable, str(ROOT / "tools" / "factor_diff.py"), "--base", str(ROOT),
+        "--change", str(ROOT), "--seed", "23", "--count", "40", "--elements",
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out == {"seed": 23, "count": 40, "mismatches": 0, "first": []}
+
+
 def test_walk_ab_same_tree():
     # Both sides run this tree's walk in fresh processes and find the same
     # norms: 28, 8128 and 33550336 below 10^8 in d = -7.
