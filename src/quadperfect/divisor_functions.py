@@ -9,13 +9,11 @@ delta(-n, z) = index(n, z) because x -> z/x permutes the divisor classes;
 delta_naive re-sums over an explicit divisor list and exists to keep the
 closed form honest.
 
-The closed form needs no factorization of z, only of N(z), by the content
-lemma: if p splits as pi * pibar and p^e exactly divides N(z), then pi and
-pibar divide z = a + b*w to the powers s and e - s in some order, where
-s = v_p(gcd(a, b)).  Proof: p^m divides z exactly when p^m divides a and
-b, as 1 and w are a basis; and p^m = pi^m pibar^m up to a unit, so the
-largest such m is the smaller of the two powers.  A split p's factor
-geo(q, r) * geo(q, e - r) is symmetric in the share, so s is enough.
+The closed form needs no factorization of z, only of N(z): by the content
+lemma, stated and proved at primes._shares, the primes above a split p^e
+share e as (s, e - s) in some order, with s = v_p(gcd(a, b)) for
+z = a + b*w.  A split p's factor geo(q, r) * geo(q, e - r) is symmetric in
+the share, so s is enough.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .errors import OddExponent, TooLarge, ZeroElement, require_ints
-from .primes import QuadFactorization, _classify, factor, factor_rational
+from .primes import QuadFactorization, _shares, factor, factor_rational
 from .rings import QuadInt
 
 NAIVE_NORM_CAP = 10**6
@@ -87,32 +85,20 @@ def _geo_product(h: int, fac: QuadFactorization) -> int:
 def delta(n: int, z: QuadInt) -> int | Fraction:
     """Sum of N(x)^(n/2) over the divisor classes x of z, closed form.
 
-    The product runs over p^e exactly dividing N(z), with q = p^|n/2|:
-    geo(q, e) for a ramified p, geo(q^2, e/2) for an inert p, and
-    geo(q, s) * geo(q, e - s) for a split p, where s = v_p(gcd(a, b)) for
-    z = a + b*w.  That is the content lemma: the primes pi and pibar above a
-    split p divide z to the powers s and e - s in some order, since p^m
-    divides z exactly when it divides both a and b, and p^m = pi^m pibar^m.
-    So delta factors N(z) once and never z itself.
+    The product runs over the primes p of N(z), with q^e exactly dividing
+    N(z) for q the norm of a prime above p: geo(q^|n/2|, s) *
+    geo(q^|n/2|, e - s), where s = v_p(gcd(a, b)) for a split p, by the
+    content lemma of primes._shares, and s = 0 otherwise.  So delta factors
+    N(z) once and never z itself.
     """
     h = _check_even(n)
     if z.is_zero():
         raise ZeroElement("delta is undefined at zero")
-    rg, norm, content, k = z.ring, z.norm(), math.gcd(z.a, z.b), abs(h)
-    total = 1
-    for p, e in factor_rational(norm):
-        chi, q = _classify(p, rg), p**k
-        if chi > 0:
-            s = 0
-            while content % p == 0:
-                content //= p
-                s += 1
-            total *= geo(q, s) * geo(q, e - s)
-        elif chi == 0:
-            total *= geo(q, e)
-        else:
-            total *= geo(q * q, e // 2)
-    return total if h > 0 else Fraction(total, norm**k)
+    k = abs(h)
+    total = math.prod(
+        [geo(q**k, s) * geo(q**k, e - s) for _, _, q, e, s, _ in _shares(z)]
+    )
+    return total if h > 0 else Fraction(total, z.norm() ** k)
 
 
 def delta_naive(n: int, z: QuadInt) -> int | Fraction:

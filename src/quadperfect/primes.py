@@ -28,13 +28,15 @@ as p ramifies, splits or stays inert.  1 + chi_D(p) primes of norm p lie
 above p, and when chi_D(p) = -1 p itself is the one prime above it, of
 norm p^2.  A prime of norm p comes from a square root of the discriminant
 mod p and Cornacchia's algorithm, both O(log p) steps; the root is one
-power when p = 3 mod 4, and Tonelli-Shanks otherwise.  An element
-factorization reads the shares of each split p^e off z = a + b*w itself:
-the smaller share is s = v_p(gcd(a, b)), and when e > 2s the prime above
-p that divides z / p^s takes e - s, the one that maps w to the residue
--a'/b' mod p of z / p^s = a' + b'*w.  That residue also gives the square
-root of D, so only a split prime with equal shares needs one found
-afresh.  One exact division, for the unit, checks the shares.
+power when p = 3 mod 4, and Tonelli-Shanks otherwise.  _shares, the one
+place that reads an element's split shares, serves both factor and
+divisor_functions.delta: by the content lemma it proves, the smaller share
+of a split p^e in z = a + b*w is s = v_p(gcd(a, b)).  When e > 2s, the
+element factorization gives e - s to the prime above p that divides
+z / p^s, the one that maps w to the residue -a'/b' mod p of
+z / p^s = a' + b'*w.  That residue also gives the square root of D, so
+only a split prime with equal shares needs one found afresh.  One exact
+division, for the unit, checks the shares.
 """
 
 from __future__ import annotations
@@ -471,51 +473,58 @@ def _norm_primes(n: int, rg: Ring) -> list[tuple[int, int, tuple[QuadInt, ...]]]
     return [(p, e, _primes_above(p, rg)) for p, e in factor_rational(n)]
 
 
-def _factor_element(z: QuadInt, primes=None) -> QuadFactorization:
-    """The factorization of a nonzero z.  primes, when given, is
-    _norm_primes(N(z), z.ring), whose primes above each p it reuses.
+def _shares(z: QuadInt, primes=None):
+    """(p, chi_D(p), q, e, s, above) for each prime p dividing N(z) of a
+    nonzero z = a + b*w: q is the norm of a prime above p, p or p^2 when p
+    is inert, and q^e exactly divides N(z); s = v_p(gcd(a, b)) when p
+    splits and 0 otherwise.  primes, when given, is _norm_primes(N(z),
+    z.ring), and above is its primes above p, else None.
 
-    At a split p^e the two primes above p share e as (e - s, s), where
-    s = v_p(c) for the content c = gcd(a, b) of z = a + b*w: p^m divides z
-    exactly when it divides a and b, and p^m = pi^m pibar^m, so the smaller
-    share is s.  When e > 2s, z' = z / p^s has content prime to p, so p does
-    not divide b', and z' lies in the one prime above p that maps w to the
-    residue rho = -a' / b' mod p; that prime, x + y*w with x + y*rho = 0 mod
-    p, takes e - s.  rho is a root of w^2 = T*w + c mod p, so 2 rho - T is a
-    square root of D, and the primes above p start from it."""
-    rg = z.ring
+    The content lemma: a split p^e is shared between the primes pi and pibar
+    above p as (e - s, s) in some order.  Proof: p^m divides z exactly when
+    it divides a and b, as 1 and w are a basis, and p^m = pi^m pibar^m up to
+    a unit, so the largest such m is the smaller share."""
+    rg, content = z.ring, math.gcd(z.a, z.b)
     if primes is None:
         primes = [(p, e, None) for p, e in factor_rational(z.norm())]
-    content = math.gcd(z.a, z.b)
-    factors: list[tuple[QuadInt, int]] = []
     for p, e, above in primes:
-        split = len(above) == 2 if above else _classify(p, rg) > 0
-        if split:
-            s = 0
+        chi, s = _classify(p, rg), 0
+        if chi > 0:
             while content % p == 0:
                 content //= p
                 s += 1
+        elif chi < 0:
+            e, odd = divmod(e, 2)
+            assert not odd, (z, p)
+        yield p, chi, p if chi >= 0 else p * p, e, s, above
+
+
+def _factor_element(z: QuadInt, primes=None) -> QuadFactorization:
+    """The factorization of a nonzero z; primes, as in _shares, lends the
+    primes above each p.
+
+    A split p^e is shared as (e - s, s) by the content lemma of _shares.
+    When e > 2s, z' = z / p^s has content prime to p, so p does not divide
+    b', and z' lies in the one prime above p that maps w to the residue
+    rho = -a' / b' mod p; that prime, x + y*w with x + y*rho = 0 mod p,
+    takes e - s.  rho is a root of w^2 = T*w + c mod p, so 2 rho - T is a
+    square root of D, and the primes above p start from it."""
+    rg = z.ring
+    factors: list[tuple[QuadInt, int]] = []
+    for p, chi, _, e, s, above in _shares(z, primes):
+        if chi > 0:
             rho = root = None
             if e > 2 * s:
-                ps = p**s
-                rho = -(z.a // ps) * pow(z.b // ps, -1, p) % p
+                rho = -(z.a // p**s) * pow(z.b // p**s, -1, p) % p
                 root = (2 * rho - rg.T) % p
             pi, pibar = above or _primes_above(p, rg, root)
             # Were the share wrong, the unit check below would fail.
             r = s if rho is None or (pi.a + pi.b * rho) % p else e - s
             factors += [(x, k) for x, k in ((pi, r), (pibar, e - r)) if k]
         else:
-            # A ramified prime has norm p; an inert one has norm p^2, so it
-            # contributes a square to N(z).
-            pi = (above or _primes_above(p, rg))[0]
-            k, odd = divmod(e, 1 if pi.norm() == p else 2)
-            assert not odd, (z, p, e)
-            factors.append((pi, k))
+            factors.append(((above or _primes_above(p, rg))[0], e))
     factors.sort(key=lambda fe: fe[0].sort_key())
-    rest = rg.one()
-    for pi, e in factors:
-        rest = rest * pi**e
-    unit = z.exact_divide(rest)
+    unit = z.exact_divide(math.prod([pi**e for pi, e in factors], start=rg.one()))
     assert unit is not None and unit.is_unit(), z
     return QuadFactorization(rg, unit, tuple(factors))
 

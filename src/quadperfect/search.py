@@ -10,13 +10,13 @@ product of geometric sums over z's prime factorization, each element's
 delta follows from those (r, e - r) and the ramified and inert exponents
 alone, in exact integer arithmetic.  A depth-first walk over the norms,
 each node holding only its norm and its elements' delta values, reads
-its primes in order from the shared sieve, keeps only each prime p and
-chi_D(p), and returns the norms that hit.  A node's child loop tests each
-child for a hit itself.  It opens the child only when the child's norm
-leaves room for one more prime and some of its values are below the
-target with a denominator that a cofactor's norm can clear, and it passes
-the child only those values.  It stops at the first prime where even the
-largest value left would need an index out of reach by size.
+its primes by index from the shared sieve, keeps only chi_D(p) for each
+prime p it reaches, and returns the norms that hit.  A node's child loop
+tests each child for a hit itself.  It opens the child only when the
+child's norm leaves room for one more prime and some of its values are
+below the target with a denominator that a cofactor's norm can clear, and
+it passes the child only those values.  It stops at the first prime where
+even the largest value left would need an index out of reach by size.
 Each hit norm is factored once, into rational primes and the primes above
 them.  That builds the norm's elements, and re-validates each of them:
 its split exponents from its content and its residue mod p, its unit by
@@ -135,18 +135,21 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
 
     A depth-first walk over norms m * p^e, primes in increasing order, that
     opens a child only where m * p^2 <= bound; an inert prime enters with
-    even exponents only, so every node is a norm.  A node carries m, the
-    index in the prime list of s, the next prime after m's largest (2, or
-    3 in an odd-norm scan), the delta values of m's elements that pass the
-    filter below, each with its denominator b, and the product of the
-    list's primes below s.  The parent's child loop reports each
+    even exponents only, so every node is a norm.  A node carries m; s,
+    the next prime after m's largest (2, or 3 in an odd-norm scan), with
+    its index j, s = _prime(j + odd_only) in the shared sieve; the delta
+    values of m's elements that pass the filter below, each with its
+    denominator b; and the product of the walk's primes below s.  The
+    parent's child loop reports each
     child m * q^k when one of its values is t * (m * q^k)^h, before it
     decides whether to open it.  Primes above sqrt(bound / m) end norms
     m * p with no children, tested in closed form; an inert p is skipped
-    there, before its primality test, as m * p is no norm.  The list holds
-    each prime p with chi_D(p), 1, 0 or -1 as p splits, ramifies or stays
-    inert, and reads the shared sieve as the walk first reaches each prime,
-    with no primality test; each child loop works out its own steps.
+    there, before its primality test, as m * p is no norm.  The child
+    loop's step at p reads the next prime from the sieve, with no
+    primality test: it is s for p's children and the loop's next p.  The
+    walk keeps only chi_D(p), 1, 0 or -1 as p splits, ramifies or stays
+    inert, in a list indexed by j, found as it first steps through each
+    prime.  Each child loop works out its own steps.
 
     Pruning.  A descendant of m is m * M, cap = bound // m >= M > 1, and
     its hits are the elements x * y with delta(x) = v one of m's values and
@@ -194,11 +197,7 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
     no hit among m's descendants, so keeping it changes no result."""
     h = n // 2
     norms = [1] if t == 1 else []
-    walk = []  # (p, chi(p)) in order; it always holds every node's start
-
-    def grow():
-        p = _prime(len(walk) + odd_only)
-        walk.append((p, _classify(p, rg)))
+    chis = []  # chi_D(_prime(j + odd_only)) for each index j the walk reaches
 
     def kept(vals, tm, cap, below):
         # Each v < t * m^h, mapped to b, the denominator of t * m^h / v, where
@@ -212,13 +211,13 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
                     dens[v] = b
         return dens
 
-    def visit(m, tm, start, dens, w, below):
-        # dens is kept(m's values), tm is t * m^h and w is at least
-        # floor(log_s(cap)).
+    def visit(m, tm, j, s, dens, w, below):
+        # s = _prime(j + odd_only), dens is kept(m's values), tm is t * m^h
+        # and w is at least floor(log_s(cap)).
         cap = bound // m
         # A leaf prime p multiplies each delta value v of m by 1 + p^h, and
         # v * (1 + p^h) = t * (m * p)^h solves to p^h = v / (t * m^h - v).
-        plo = max(walk[start][0] - 1, math.isqrt(cap))
+        plo = max(s - 1, math.isqrt(cap))
         for v in dens:
             ph, rem = divmod(v, tm - v)
             if not rem:
@@ -228,17 +227,18 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
                 if plo < p <= cap and p**h == ph and _classify(p, rg) >= 0:
                     if is_prime(p):
                         norms.append(m * p)
-        for j in count(start):
-            p, c = walk[j]
+        p = s
+        for j in count(j):
             while p**w > cap:
                 w -= 1
             ph = p**h
             if w < 2 or max(dens) * ph**w <= tm * (ph - 1) ** w:
                 break
-            if j + 1 == len(walk):
-                grow()  # the children start from walk[j + 1]
+            if j == len(chis):
+                chis.append(_classify(p, rg))
+            c = chis[j]
             below *= p
-            room = walk[j + 1][0]
+            room = _prime(j + 1 + odd_only)  # the children's s
             # The primes above p have norm q = p, or p^2 when p is inert; the
             # step to m * q^k multiplies by g_r * g_(k-r) for a split p, one
             # factor per share (r, k - r), and by g_k otherwise, where g_k =
@@ -259,19 +259,20 @@ def _scan(rg: Ring, n: int, t: int, bound: int, odd_only: bool) -> list[int]:
                 if min(vals) >= tq:
                     break
                 if cap // qk >= room and (child := kept(vals, tq, cap // qk, below)):
-                    visit(m * qk, tq, j + 1, child, w, below)
+                    visit(m * qk, tq, j + 1, room, child, w, below)
                 qk *= q
             dens = {v: b for v, b in dens.items() if b % p}
             if not dens:
                 break
+            p = room
 
-    grow()
+    s = _prime(odd_only)
     w = bound.bit_length()
-    if t >= 2 and h * (walk[0][0].bit_length() - 1) >= (2 * w + 1).bit_length():
+    if t >= 2 and h * (s.bit_length() - 1) >= (2 * w + 1).bit_length():
         return norms
     below = 2 if odd_only else 1
     if root := kept({1}, t, bound, below):
-        visit(1, t, 0, root, w, below)
+        visit(1, t, 0, s, root, w, below)
     return norms
 
 

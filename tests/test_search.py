@@ -11,7 +11,8 @@ import random
 import subprocess
 import sys
 import time
-from bisect import bisect_right
+import tracemalloc
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -22,6 +23,7 @@ import pytest
 from quadperfect import (
     QuadInt,
     Ring,
+    abundancy_index,
     delta,
     delta_naive,
     is_powerfully_perfect,
@@ -467,6 +469,23 @@ class TestCountAndWalk:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_walk_memory_per_prime(self, monkeypatch):
+        # The walk reads each prime from the shared sieve and keeps only
+        # chi_D(p) per prime it reaches, so once the sieve holds its primes
+        # a second walk at 10^14 peaks at about 12 bytes per sieve entry
+        # (4333 primes), where a (p, chi_D(p)) tuple per prime took about 40.
+        from quadperfect import primes
+
+        monkeypatch.setattr(primes, "_primes", [])
+        search._scan(Ring(-7), 2, 2, 10**14, False)
+        tracemalloc.start()
+        try:
+            search._scan(Ring(-7), 2, 2, 10**14, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * len(primes._primes)
+
     def test_leaf_classifies_before_primality(self, monkeypatch):
         # The leaf test skips an inert p before is_prime, so a probable
         # prime past the witness limit raises only where it could be a leaf.
@@ -544,6 +563,95 @@ class TestCountAndWalk:
         else:
             rep = search_perfect(rg, n, t, 3000)
         assert rep.hits == hits
+
+
+LEAF_BRUTE = 10**4
+BRUTE_PRIMES = [r for r in range(LEAF_BRUTE + 1) if is_prime(r)]
+
+
+def reference_walk(rg: Ring, h: int, t, bound: int, odd_only: bool) -> list[int]:
+    """The norms 1 < N <= bound of the elements of index t, sorted, by a walk
+    over norms m * q^k in Fractions that prunes by magnitude alone, with no
+    denominator rule, no k-loop break and no no-room rule.  Primes come from
+    is_prime; leaves p > sqrt(cap) are found by trying every prime p when
+    cap <= LEAF_BRUTE, and by solving index * (1 + p^-h) = t for p
+    otherwise."""
+    t, found = Fraction(t), []
+
+    def visit(m, idx, s):
+        cap = bound // m
+        for p in filter(is_prime, range(s, math.isqrt(cap) + 1)):
+            w = 2
+            while p ** (w + 1) <= cap:
+                w += 1
+            if not any(i < t < i * Fraction(p**h, p**h - 1) ** w for i in idx):
+                return
+            c = _classify(p, rg)
+            q = p * p if c < 0 else p
+            qk, gs = 1, [1]
+            while (qk := qk * q) <= cap:
+                gs.append(gs[-1] * q**h + 1)
+                k = len(gs) - 1
+                shares = range(k + 1) if c > 0 else [0]
+                child = {i * gs[r] * gs[k - r] / qk**h for i in idx for r in shares}
+                if t in child:
+                    found.append(m * qk)
+                visit(m * qk, child, p + 1)
+        lo = max(s, math.isqrt(cap) + 1)
+        if cap <= LEAF_BRUTE:
+            lo, hi = bisect_left(BRUTE_PRIMES, lo), bisect_right(BRUTE_PRIMES, cap)
+            leaves = BRUTE_PRIMES[lo:hi]
+        else:
+            xs = [i / (t - i) for i in idx if i < t]
+            rs = [(x, x.numerator if h == 1 else math.isqrt(x.numerator)) for x in xs]
+            leaves = [r for x, r in rs if lo <= r <= cap and r**h == x and is_prime(r)]
+        for r in leaves:
+            if _classify(r, rg) >= 0 and t / (1 + Fraction(1, r**h)) in idx:
+                found.append(m * r)
+
+    visit(1, {Fraction(1)}, 3 if odd_only else 2)
+    return sorted(found)
+
+
+def element_near(rg: Ring, bound: int, rnd: random.Random) -> QuadInt:
+    """A seeded element of norm in (bound / 2, bound]."""
+    r = math.isqrt(4 * bound)
+    while True:
+        b = rnd.randrange(1, r // math.isqrt(-rg.D) + 1)
+        z = rg.element(rnd.randrange(-r, r), b)
+        if bound // 2 < z.norm() <= bound:
+            return z
+
+
+REFERENCE_BOUNDS = [10**6, pytest.param(10**8, marks=pytest.mark.deep)]
+
+
+@pytest.mark.parametrize("bound", REFERENCE_BOUNDS)
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("d", NORM2_D)
+class TestReferenceWalk:
+    """_scan against reference_walk at 10^6, and at 10^8 under the deep
+    mark (pytest -m deep), past test_rational_targets' 3 * 10^4.  There
+    nodes such as m = 2^12 in d = -7, whose value 2^13 - 1 lies within
+    2^-12 of t = 2, pass the magnitude bound at every prime below
+    sqrt(cap)."""
+
+    def test_integer_targets(self, d, h, bound):
+        rg = Ring(d)
+        for t in (2, 3):
+            for odd_only in (False, True):
+                want = reference_walk(rg, h, t, bound, odd_only)
+                assert sorted(search._scan(rg, 2 * h, t, bound, odd_only)) == want
+
+    def test_rational_targets(self, d, h, bound):
+        # t = index(z) of three seeded z with norm near bound, each a hit.
+        rg, rnd = Ring(d), random.Random(2800 * h - d + bound)
+        for z in [element_near(rg, bound, rnd) for _ in range(3)]:
+            t = abundancy_index(2 * h, z)
+            for odd_only in (False, True):
+                want = reference_walk(rg, h, t, bound, odd_only)
+                assert z.norm() in want or odd_only and z.norm() % 2 == 0
+                assert sorted(search._scan(rg, 2 * h, t, bound, odd_only)) == want
 
 
 WALK_GRID = Path(__file__).with_name("walk_grid.json")
@@ -656,8 +764,8 @@ def test_search_fresh_process(bound, scanned, norms, peak_mib):
 def test_scan_memory_fresh_process():
     # Rule (c) keeps one product of the primes below s per node on the
     # current path, not one per prefix of the prime list, and the walk keeps
-    # no steps per prime, only the prime and its class, so the walk at
-    # 10^16 runs in a small process.
+    # no steps per prime, only chi_D(p) beside the shared sieve's prime, so
+    # the walk at 10^16 runs in a small process.
     (peak,) = fresh_lines(
         "from quadperfect import Ring\n"
         "from quadperfect.search import _scan\n"

@@ -54,18 +54,24 @@ def test_factor_diff_elements_same_tree():
 
 def test_walk_ab_same_tree():
     # Both sides run this tree's walk in fresh processes and find the same
-    # norms: 28, 8128 and 33550336 below 10^8 in d = -7.
-    cmd = [
-        sys.executable, str(ROOT / "tools" / "walk_ab.py"), "--base", str(ROOT),
-        "--change", str(ROOT), "--d", "-7", "--bound", "10**8", "--pairs", "2",
-    ]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True)
-    out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["pairs"] == 2 and out["bound"] == 10**8
-    assert out["hits_equal"] and out["hit_norms"] == [28, 8128, 33550336]
-    for side in ("base", "change"):
-        assert len(out[side]["seconds"]) == len(out[side]["vmhwm_kib"]) == 2
-        assert all(kib > 0 for kib in out[side]["vmhwm_kib"])
+    # norms below 10^8: 28, 8128 and 33550336 in d = -7, and none over the
+    # odd norms of d = -2, a walk whose primes start from 3.
+    for walk, norms in [
+        (["--d", "-7"], [28, 8128, 33550336]),
+        (["--d", "-2", "--odd"], []),
+    ]:
+        cmd = [
+            sys.executable, str(ROOT / "tools" / "walk_ab.py"), "--base", str(ROOT),
+            "--change", str(ROOT), *walk, "--bound", "10**8", "--pairs", "2",
+        ]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True)
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["pairs"] == 2 and out["bound"] == 10**8
+        assert out["odd"] == ("--odd" in walk)
+        assert out["hits_equal"] and out["hit_norms"] == norms
+        for side in ("base", "change"):
+            assert len(out[side]["seconds"]) == len(out[side]["vmhwm_kib"]) == 2
+            assert all(kib > 0 for kib in out[side]["vmhwm_kib"])
 
 
 def code_lines(root: Path) -> dict:
