@@ -17,9 +17,8 @@ O(log n) modular steps.
 
 The library enumerates primes in one place: _prime(i), the i-th prime,
 read from one segmented sieve of Eratosthenes that extends as far as a
-caller reaches.  The gcd blocks, the perfect-power exponents, the search's
-walk over the primes in order and theorems.smallest_odd_prime_norms all
-read it.
+caller reaches.  The gcd blocks, the perfect-power exponents and the
+search's walk over the primes in order read it.
 
 On the quadratic side every prime fact is the Kronecker symbol chi_D(p):
 0, 1 or -1 as the discriminant D is zero, a nonzero square or a
@@ -197,19 +196,18 @@ def _block(j: int) -> tuple[int, tuple[int, ...]]:
     return bs[j]
 
 
-def _factor_into(n: int, counts: dict[int, int], p: int, i: int, k: int = 1) -> None:
+def _factor_into(n: int, counts: dict[int, int], p: int, k: int = 1) -> None:
     """Add the prime factorization of n^k to counts.
 
-    No prime below p divides n; from 65537 on, p is the value at place i of
-    the 2-3-5 wheel 7, 11, 13, 17, ...  Each pass records n once it is below
-    p^2 or prime, and replaces a perfect square by its root.  Otherwise, up
-    to 65521, the largest prime below 2^16, it divides out the primes of
+    No prime below p divides n.  Each pass records n once it is below p^2
+    or prime, and replaces a perfect square by its root.  Otherwise, up to
+    65521, the largest prime below 2^16, it divides out the primes of
     g = gcd(n, product) for the next block of 64 primes with g > 1.  Past
     the blocks it takes the root of a perfect power, or else divides out
-    the next prime the wheel meets from 65537 up to 10^6, or past 10^6
-    splits n by rho.  So the primality test runs once per block or wheel
-    prime that divides n, and the perfect-power test only where the wheel
-    or rho would take over.
+    the next prime that the 2-3-5 wheel 7, 11, 13, 17, ... meets from 65537
+    up to 10^6, or past 10^6 splits n by rho.  So the primality test runs
+    once per block or wheel prime that divides n, and the perfect-power test
+    only where the wheel or rho would take over.
     """
     j = 0
     while n > 1:
@@ -245,7 +243,7 @@ def _factor_into(n: int, counts: dict[int, int], p: int, i: int, k: int = 1) -> 
                 i = (i + 1) & 7
             if p > _TRIAL_BOUND:
                 d = _brent_rho(n)
-                _factor_into(d, counts, p, i, k)
+                _factor_into(d, counts, p, k)
                 n //= d
                 continue
             # Every prime below p is gone from n, so p is prime.
@@ -284,23 +282,8 @@ def factor_rational(n: int) -> IntFactorization:
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    _factor_into(m, counts, 7, 0)
+    _factor_into(m, counts, 7)
     return IntFactorization(n, tuple(sorted(counts.items())))
-
-
-def int_valuation(p: int, n: int) -> int:
-    """Largest e with p^e dividing n, for prime p and n != 0."""
-    require_ints(p=p, n=n)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if n == 0:
-        raise ZeroElement("the zero integer has infinite valuation")
-    e = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 class PrimeClass(enum.Enum):
@@ -488,7 +471,10 @@ def _shares(z: QuadInt, primes=None):
     if primes is None:
         primes = [(p, e, None) for p, e in factor_rational(z.norm())]
     for p, e, above in primes:
-        chi, s = _classify(p, rg), 0
+        # The primes above p, when given, show chi_D(p): two of norm p when p
+        # splits, one when it ramifies, and p itself (b = 0) when it is inert.
+        chi = (len(above) - 1 if above[0].b else -1) if above else _classify(p, rg)
+        s = 0
         if chi > 0:
             while content % p == 0:
                 content //= p

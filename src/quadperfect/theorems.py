@@ -16,7 +16,6 @@ vocabulary for picking a verifier.
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 
 from .divisor_functions import _geo_product, abundancy_index, geo
@@ -31,7 +30,6 @@ from .primes import (
     PrimeClass,
     QuadFactorization,
     _classify,
-    _prime,
     classify_rational_prime,
     factor,
     is_prime,
@@ -273,26 +271,6 @@ def check_prime_count(z: QuadInt) -> VerifierReport:
             Check("prime_divisor_floor", f">= {floor}", str(count), count >= floor)
         )
     return VerifierReport("count", z, checks)
-
-
-def smallest_odd_prime_norms(rg: Ring, count: int) -> list[int]:
-    """Norms of the first `count` odd-norm canonical primes, ascending,
-    with split primes contributing twice."""
-    require_ints(count=count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    # Each odd prime p adds norms of at least p, so once the count-th norm
-    # is at most the next odd prime, no later p changes the first count.
-    norms: list[int] = []
-    i = 1  # _prime(1) = 3
-    while len(norms) < count or norms[count - 1] > _prime(i):
-        p = _prime(i)
-        # 1 + chi_D(p) primes of norm p lie above p, or one of norm p^2 when
-        # p is inert.
-        for q in [p] * (1 + _classify(p, rg)) or [p * p]:
-            insort(norms, q)
-        i += 1
-    return norms[:count]
 
 
 def lift_to_3perfect(z: QuadInt) -> QuadInt:

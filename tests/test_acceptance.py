@@ -28,15 +28,15 @@ from quadperfect import (
     delta,
     delta_naive,
     divisors,
+    factor_rational,
     is_powerfully_perfect,
     is_prime,
+    is_quadratic_prime,
     norm2_prime,
     search_odd_norm,
     search_perfect,
     valuation,
 )
-from quadperfect.primes import int_valuation
-from quadperfect.theorems import smallest_odd_prime_norms
 
 from conftest import ALL_D, NORM2_D, norm_ball_brute, random_elements
 
@@ -179,8 +179,9 @@ def test_criterion_06_even_valuations(capsys):
             qelems = {q: rg.element(q) for q in inert}
             for z in random_elements(rg, 10**4, 10**3, seed=5):
                 nz = z.norm()
+                vals = dict(factor_rational(nz).factors)
                 for q in inert:
-                    v = int_valuation(q, nz)
+                    v = vals.get(q, 0)
                     assert v % 2 == 0, (z, q)
                     if v:
                         assert valuation(qelems[q], z) * 2 == v, (z, q)
@@ -224,12 +225,19 @@ def test_criterion_08_odd_norm_vacuity(capsys):
         for d in NORM2_D:
             rep = search_odd_norm(Ring(d), 10**7)
             counts[d] = (len(rep.hits), rep.elements_scanned)
-        # The prime tables behind the minimum-norm argument.
-        assert smallest_odd_prime_norms(Ring(-1), 5) == [5, 5, 9, 13, 13]
-        assert smallest_odd_prime_norms(Ring(-2), 6) == [3, 3, 11, 11, 17, 17]
-        assert smallest_odd_prime_norms(Ring(-7), 11) == [
-            7, 9, 11, 11, 23, 23, 25, 29, 29, 37, 37,
-        ]
+        # The prime tables behind the minimum-norm argument: the odd norms
+        # of the canonical primes, ascending, a split p counted twice.
+        norms = {
+            d: sorted(
+                z.norm()
+                for z in norm_ball_brute(Ring(d), 50)
+                if z.norm() % 2 and is_quadratic_prime(z)
+            )
+            for d in NORM2_D
+        }
+        assert norms[-1][:5] == [5, 5, 9, 13, 13]
+        assert norms[-2][:6] == [3, 3, 11, 11, 17, 17]
+        assert norms[-7][:11] == [7, 9, 11, 11, 23, 23, 25, 29, 29, 37, 37]
         return counts
 
     counts, ms = timed(body)

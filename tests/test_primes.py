@@ -48,7 +48,6 @@ from quadperfect.primes import (
     _primes_above,
     _sqrt_mod,
     _valuation_unchecked,
-    int_valuation,
 )
 
 from conftest import NORM2_D, norm_ball_brute
@@ -198,16 +197,6 @@ class TestIntegerSubstrate:
     def test_iter(self):
         assert list(IntFactorization(12, ((2, 2), (3, 1)))) == [(2, 2), (3, 1)]
 
-    def test_int_valuation(self):
-        assert int_valuation(2, 48) == 4
-        assert int_valuation(3, 48) == 1
-        assert int_valuation(5, 48) == 0
-        assert int_valuation(7, -49) == 2
-        with pytest.raises(NotPrime):
-            int_valuation(4, 48)
-        with pytest.raises(ZeroElement):
-            int_valuation(2, 0)
-
     # psi_k of OEIS A014233: the least odd composite that passes
     # Miller-Rabin to each of the first k primes.
     PSI = (
@@ -334,7 +323,7 @@ class TestSmallPrimeBlocks:
 
 class TestPrimeSieve:
     """_prime, the one segmented sieve behind the blocks, the perfect-power
-    exponents, the walk and smallest_odd_prime_norms."""
+    exponents and the walk."""
 
     LIMIT = 70000
 
@@ -739,10 +728,10 @@ class TestContentAndResidue:
             assert fac.value() == z and fac.unit.is_unit()
             # The residue's root replaces the square root of D, except where
             # the two shares are equal.
-            c = math.gcd(z.a, z.b)
+            content = dict(factor_rational(math.gcd(z.a, z.b)).factors)
             equal = {
                 p for p, e in factor_rational(z.norm())
-                if p > 2 and _classify(p, rg) > 0 and e == 2 * int_valuation(p, c)
+                if p > 2 and _classify(p, rg) > 0 and e == 2 * content.get(p, 0)
             }
             assert {p for p in roots if rg.D % p} == equal, z
             again = _factor_element(z, _norm_primes(z.norm(), rg))

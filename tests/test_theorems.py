@@ -28,7 +28,6 @@ from quadperfect import (
     decompose_even,
     delta,
     factor,
-    is_quadratic_prime,
     lift_to_3perfect,
     norm2_prime,
     prime_above,
@@ -37,13 +36,9 @@ from quadperfect import (
     valuation,
 )
 from quadperfect import search
-from quadperfect.theorems import (
-    EvenNormDecomposition,
-    odd_factorization_shape_report,
-    smallest_odd_prime_norms,
-)
+from quadperfect.theorems import EvenNormDecomposition, odd_factorization_shape_report
 
-from conftest import ALL_D, NORM2_D, norm_ball_brute
+from conftest import NORM2_D
 
 
 def checks_by_name(report) -> dict:
@@ -369,30 +364,6 @@ class TestPrimeCount:
         named = checks_by_name(rep)
         assert named["prime_divisor_floor"].expected == ">= 11"
         assert not named["prime_divisor_floor"].passed
-
-    def test_smallest_odd_prime_norm_tables(self):
-        assert smallest_odd_prime_norms(Ring(-1), 5) == [5, 5, 9, 13, 13]
-        assert smallest_odd_prime_norms(Ring(-2), 6) == [3, 3, 11, 11, 17, 17]
-        assert smallest_odd_prime_norms(Ring(-7), 11) == [
-            7, 9, 11, 11, 23, 23, 25, 29, 29, 37, 37,
-        ]
-
-    def test_table_guards_and_growth(self):
-        with pytest.raises(ValueError):
-            smallest_odd_prime_norms(Ring(-1), 0)
-        norms = smallest_odd_prime_norms(Ring(-163), 40)
-        assert len(norms) == 40 and norms == sorted(norms)
-        # Against the odd norms of the primes among all canonical elements
-        # of norm <= 2000, for every count that those norms settle.
-        for d in ALL_D:
-            rg = Ring(d)
-            want = sorted(
-                z.norm()
-                for z in norm_ball_brute(rg, 2000)
-                if z.norm() % 2 and is_quadratic_prime(z)
-            )
-            for count in range(1, len(want) + 1):
-                assert smallest_odd_prime_norms(rg, count) == want[:count], (d, count)
 
 
 class TestLift:
