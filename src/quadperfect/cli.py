@@ -193,8 +193,9 @@ def _cmd_verify(args):
         rep = check_prime_count(z)
     else:
         w = lift_to_3perfect(z)
+        idx = abundancy_index(2, w)
         rep = VerifierReport(
-            "lift", z, [Check("lifted_index", "3", str(abundancy_index(2, w)), True)]
+            "lift", z, [Check("lifted_index", "3", str(idx), idx == 3)]
         )
         obj["lifted"] = w.to_json()
         lines.append(f"lifted: {w}")

@@ -1,8 +1,11 @@
-"""The base of the library's result records.
+"""The base of the library's immutable values: the result records and the
+ring element QuadInt.
 
 A record is a plain class whose fields are its __slots__; it is cheaper to
 import and to define than a dataclass, which pulls in inspect and ast and
-compiles code for each class.
+compiles code for each class.  QuadInt is a Record with its own __init__,
+which sets its three slots directly, since elements are built far more
+often than any other record.
 """
 
 
@@ -10,7 +13,8 @@ class Record:
     """Fields are the subclass's __slots__, each one required, set in order
     from positional arguments, then by keyword.  A record is built once and
     refuses assignment and deletion; it copies and pickles by its field
-    values."""
+    values.  A subclass may replace __init__ with a faster one that takes
+    the same fields, as QuadInt does."""
 
     __slots__ = ()
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 
 from .errors import MixedRings, ZeroElement, require_ints
+from .records import Record
 
 # The nine imaginary quadratic fields whose integers factor uniquely.
 ADMISSIBLE_D = (-163, -67, -43, -19, -11, -7, -3, -2, -1)
@@ -42,22 +43,17 @@ class Ring:
         self.d = d
         self.T, self.c = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
         self.D = self.T + 4 * self.c
-        self._units = None
+        # The units are the powers of one generator g: w where N(w) = -c = 1,
+        # that is d = -1 (w^4 = 1) and d = -3 (w^6 = 1), and -1 elsewhere.
+        g = QuadInt(self, 0, 1) if self.c == -1 else QuadInt(self, -1, 0)
+        units = [QuadInt(self, 1, 0)]
+        while (u := units[-1] * g) != units[0]:
+            units.append(u)
+        self._units = tuple(units)
         cls._cache[d] = self
         return self
 
     def units(self) -> tuple["QuadInt", ...]:
-        if self._units is None:
-            one = self.element(1)
-            if self.d == -1:
-                w = self.element(0, 1)
-                us = (one, w, -one, -w)
-            elif self.d == -3:
-                w = self.element(0, 1)
-                us = (one, w, w - 1, -one, -w, one - w)
-            else:
-                us = (one, -one)
-            self._units = us
         return self._units
 
     def element(self, a: int, b: int = 0) -> "QuadInt":
@@ -98,22 +94,17 @@ def parse_element(rg: Ring, text: str) -> "QuadInt":
     return rg.element(a, b)
 
 
-class QuadInt:
+class QuadInt(Record):
     """An element a + b*w of one of the nine rings, immutable."""
 
     __slots__ = ("ring", "a", "b")
 
-    def __init__(self, rg: Ring, a: int, b: int) -> None:
-        # The slot descriptors' own setters bypass __setattr__ below.
-        _set_ring(self, rg)
+    def __init__(self, ring: Ring, a: int, b: int) -> None:
+        # The slot descriptors' own setters bypass Record's __setattr__ and
+        # cost less than its loop over the fields.
+        _set_ring(self, ring)
         _set_a(self, a)
         _set_b(self, b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadInt is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("QuadInt is immutable")
 
     # -- basic predicates ---------------------------------------------------
 
@@ -235,31 +226,20 @@ class QuadInt:
         return self.b > 0 or (self.b == 0 and self.a > 0)
 
     def canonical_associate(self) -> "QuadInt":
-        """The associate in the fundamental sector, read off the signs of
-        (a, b) where the units are +-1 or the powers of i."""
+        """The associate in the fundamental sector, by the rule that
+        generates the units.  Where c = -1 (d = -1, -3) the units are the
+        powers of w, and multiplying by w maps (a, b) to (-b, a + T*b), a
+        turn by the sector's angle; the associate is the first turn with
+        a > 0 and b >= 0.  Elsewhere the units are +-1, and the associate
+        is z or -z, whichever has b > 0, or b = 0 and a > 0."""
         a, b, rg = self.a, self.b, self.ring
-        if rg.d == -1:
-            # Multiplying by i maps a + b*i to -b + a*i, a quarter turn.
-            if a > 0 and b >= 0:
-                return self
-            if b > 0:  # a <= 0: times -i
-                return QuadInt(rg, b, -a)
-            if a < 0:  # b <= 0: times -1
-                return QuadInt(rg, -a, -b)
-            if b < 0:  # a >= 0: times i
-                return QuadInt(rg, -b, a)
-        elif rg.d != -3:
-            if b > 0 or (b == 0 and a > 0):
-                return self
-            if a or b:
-                return QuadInt(rg, -a, -b)
-        if self.is_zero():
+        if not (a or b):
             raise ZeroElement("the zero element has no canonical associate")
-        for u in rg.units():
-            cand = u * self
-            if cand.in_fundamental_sector():
-                return cand
-        raise AssertionError(f"no associate of {self!r} lies in the sector")
+        if rg.c != -1:
+            return self if b > 0 or (b == 0 and a > 0) else QuadInt(rg, -a, -b)
+        while a <= 0 or b < 0:
+            a, b = -b, a + rg.T * b
+        return self if a == self.a and b == self.b else QuadInt(rg, a, b)
 
     def sort_key(self) -> tuple[int, int, int]:
         return (self.norm(), self.a, self.b)
@@ -289,9 +269,6 @@ class QuadInt:
 
     def __hash__(self) -> int:
         return hash((self.ring.d, self.a, self.b))
-
-    def __reduce__(self):
-        return QuadInt, (self.ring, self.a, self.b)
 
 
 _set_ring, _set_a, _set_b = (vars(QuadInt)[name].__set__ for name in QuadInt.__slots__)

@@ -279,7 +279,8 @@ def lift_to_3perfect(z: QuadInt) -> QuadInt:
     _require_norm2(z.ring)
     _require_perfect(z, 1)
     w = prime_above(2, z.ring) * z
-    assert abundancy_index(2, w) == 3
+    if abundancy_index(2, w) != 3:
+        raise AssertionError(f"the lift {w} of {z} is not 3-perfect")
     return w
 
 

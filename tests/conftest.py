@@ -12,8 +12,8 @@ import sys
 import pytest
 from hypothesis import HealthCheck, settings
 
-from quadperfect import ADMISSIBLE_D, QuadInt, Ring, factor
-from quadperfect.primes import _classify, _factor_element, factor_rational
+from quadperfect import ADMISSIBLE_D, QuadInt, Ring, factor, prime_above
+from quadperfect.primes import _classify, _factor_element, factor_rational, is_prime
 
 settings.register_profile(
     "suite",
@@ -75,6 +75,15 @@ def forced_odd_hit(monkeypatch) -> QuadInt:
     monkeypatch.setattr(search, "_find", lambda *args: [(z, factor(z))])
     monkeypatch.setattr(theorems, "_index2", lambda z, fac: 2)
     return z
+
+
+@pytest.fixture
+def past_divisor_cap() -> QuadInt:
+    """The product of one prime above each of the first 21 primes
+    p = 1 (mod 4) in d = -1: 2^21 divisor classes, past DIVISOR_COUNT_CAP."""
+    ps = [p for p in range(5, 200, 4) if is_prime(p)]
+    assert len(ps) == 21
+    return math.prod([prime_above(p, Ring(-1)) for p in ps], start=Ring(-1).one())
 
 
 def box_elements(rg: Ring, amax: int, bmax: int) -> list[QuadInt]:

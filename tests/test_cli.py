@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from quadperfect import theorems
 from quadperfect.cli import main
 
 
@@ -141,6 +142,13 @@ class TestDivisorsClassify:
         assert obj["count"] == 8
         assert obj["norms"] == [1, 2, 5, 9, 10, 18, 45, 90]
 
+    def test_divisors_past_cap(self, capsys, past_divisor_cap):
+        code, out, err = run(
+            capsys, "divisors", "--d", "-1", f"--elem={past_divisor_cap}"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("qp: error: more than 1048576 divisor classes")
+
     def test_classify(self, capsys):
         for d, expect in (("-1", "ramified"), ("-7", "split"), ("-3", "inert")):
             code, out, _ = run(capsys, "classify", "--d", d, "--elem", "2")
@@ -241,6 +249,12 @@ class TestSearch:
         assert exc.value.code == 2
         assert "--n must be a positive even integer, got -2" in capsys.readouterr().err
 
+    def test_bound_not_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--d", "-1", "--bound", "abc"])
+        assert exc.value.code == 2
+        assert "--bound must be an integer, got 'abc'" in capsys.readouterr().err
+
     def test_d_validation(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--d", "-5", "--bound", "10"])
@@ -321,6 +335,20 @@ class TestVerify:
             capsys, "verify", "--d", "-1", "--elem", "9+3*w", "--theorem", "count"
         )
         assert obj["checks"][0]["actual"] == "3"
+
+    def test_lift_report_compares_index(self, capsys, monkeypatch):
+        # With lift's precondition and its own check forced to pass on 2+i,
+        # whose lift 1+3i has index 9/5, the report still compares.
+        monkeypatch.setattr(theorems, "_index2", lambda z, fac: 2)
+        monkeypatch.setattr(theorems, "abundancy_index", lambda n, z: 3)
+        argv = ("verify", "--d", "-1", "--elem", "2+1*i", "--theorem", "lift")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "[FAIL] lifted_index         expected 3, actual 9/5" in out
+        assert "overall: FAIL" in out
+        obj = run_json(capsys, *argv)
+        assert obj["lifted"] == {"d": -1, "a": 1, "b": 3}
+        assert obj["overall"] is False
 
     def test_lift_rejected_on_even_norm(self, capsys):
         code, _, _ = run(

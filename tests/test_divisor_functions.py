@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from quadperfect import (
     is_prime,
     sigma,
 )
-from quadperfect.divisor_functions import NAIVE_NORM_CAP, geo
+from quadperfect.divisor_functions import DIVISOR_COUNT_CAP, NAIVE_NORM_CAP, geo
 
 from conftest import divisors_by_product, norm_ball_brute, random_elements
 
@@ -65,6 +66,13 @@ class TestDivisors:
 
     def test_prime_has_two_classes(self):
         assert len(divisors(Ring(-19).element(2))) == 2
+
+    def test_count_cap(self, past_divisor_cap):
+        # Refused from the exponents, before any of the 2^21 products.
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"more than {DIVISOR_COUNT_CAP} divisor"):
+            divisors(past_divisor_cap)
+        assert time.perf_counter() - start < 0.5
 
 
 def prime_from(rg: Ring, a: int, b: int):
@@ -164,6 +172,8 @@ class TestDelta:
             delta(2, rg.zero())
         with pytest.raises(ZeroElement):
             delta_naive(2, rg.zero())
+        with pytest.raises(ZeroElement):
+            abundancy_index(2, rg.zero())
 
     def test_large_norm_prime(self):
         # N(z) = 2 * 89 * 337 * 64969 * 256592474325833.

@@ -202,6 +202,8 @@ def test_record_contract(cls, fields):
         rest = {k: v for k, v in fields.items() if k != name}
         with pytest.raises(TypeError, match=f"missing field {name!r}"):
             cls(**rest)
+    with pytest.raises(TypeError, match=f"takes {len(fields)} fields"):
+        cls(*fields.values(), None)
 
 
 CLONES = {

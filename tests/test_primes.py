@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from quadperfect import (
     ADMISSIBLE_D,
+    MixedRings,
     NotPrime,
     PrimeClass,
     QuadInt,
@@ -533,6 +534,8 @@ class TestQuadraticPrimality:
             valuation(rg.element(5, 0), rg.element(30, 30))
         with pytest.raises(ZeroElement):
             valuation(rg.element(1, 1), rg.zero())
+        with pytest.raises(MixedRings):
+            valuation(rg.element(1, 1), Ring(-2).element(30, 30))
 
 
 class TestFactor:

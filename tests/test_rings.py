@@ -3,13 +3,16 @@ and the text encoding."""
 
 from __future__ import annotations
 
+import operator
+import pickle
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadperfect import MixedRings, Ring, ZeroElement, parse_element
+from quadperfect import MixedRings, QuadInt, Ring, ZeroElement, parse_element
+from quadperfect.records import Record
 
 from conftest import ALL_D, box_elements, canonical_by_units, norm_ball_elements
 
@@ -63,12 +66,20 @@ class TestRing:
             assert rg.D == (d if rg.T else 4 * d)
 
     def test_unit_counts(self):
+        # The units come as the powers of w for d = -1, -3, and as 1, -1
+        # elsewhere, in that order.
+        powers_of_w = {
+            -1: [(1, 0), (0, 1), (-1, 0), (0, -1)],
+            -3: [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)],
+        }
         for d in ALL_D:
             rg = Ring(d)
             count = {-1: 4, -3: 6}.get(d, 2)
             assert len(rg.units()) == count
             assert all(u.is_unit() for u in rg.units())
             assert len(set(rg.units())) == count
+            order = powers_of_w.get(d, [(1, 0), (-1, 0)])
+            assert [(u.a, u.b) for u in rg.units()] == order
 
     def test_units_are_exactly_norm_one(self, rg):
         found = {z for z in box_elements(rg, 3, 3) if z.norm() == 1}
@@ -116,6 +127,16 @@ class TestArithmetic:
             expect = expect * z
         assert z**e == expect
 
+    def test_non_element_operands_rejected(self):
+        z = Ring(-1).element(1, 2)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(z, 2.5)
+            with pytest.raises(TypeError):
+                op(2.5, z)
+        with pytest.raises(TypeError):
+            z**-1
+
     def test_mixed_rings_rejected(self):
         with pytest.raises(MixedRings):
             Ring(-1).element(1, 1) + Ring(-2).element(1, 1)
@@ -123,12 +144,18 @@ class TestArithmetic:
             Ring(-3).element(1) * Ring(-7).element(1)
 
     def test_immutable(self):
+        # An element is a Record: built by position or by field name, and
+        # pickled as QuadInt(ring, a, b).
         z = Ring(-1).element(1, 2)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="QuadInt is immutable"):
             z.a = 5
         with pytest.raises(AttributeError, match="immutable"):
             del z.a
         assert (z.a, z.b) == (1, 2)
+        assert isinstance(z, Record)
+        assert QuadInt(ring=z.ring, a=1, b=2) == z == QuadInt(z.ring, 1, 2)
+        assert z.__reduce__() == (QuadInt, (z.ring, 1, 2))
+        assert pickle.loads(pickle.dumps(z)) == z
 
     def test_norm_formulas(self):
         assert Ring(-1).element(3, 4).norm() == 25
@@ -169,6 +196,14 @@ class TestExactDivision:
         for other in (2.5, "3", None):
             with pytest.raises(TypeError, match="cannot divide QuadInt by"):
                 z.is_associated(other)
+            with pytest.raises(TypeError, match="cannot divide QuadInt by"):
+                z.exact_divide(other)
+
+    def test_zero_is_associated_only_with_zero(self, rg):
+        z = rg.element(3, 1)
+        assert rg.zero().is_associated(0)
+        assert not z.is_associated(rg.zero())
+        assert not rg.zero().is_associated(z)
 
 
 class TestFundamentalSector:

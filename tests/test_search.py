@@ -27,6 +27,7 @@ from quadperfect import (
     delta,
     delta_naive,
     is_powerfully_perfect,
+    prime_above,
     search_odd_norm,
     search_perfect,
     split_prime_pair,
@@ -615,6 +616,30 @@ def element_near(rg: Ring, bound: int, rnd: random.Random) -> QuadInt:
             return z
 
 
+def leaf_at_cap(rg: Ring, bound: int, rnd: random.Random) -> QuadInt:
+    """A seeded z = x * pi with N(z) <= bound, where x is a product of
+    primes above primes below 50, N(pi) = s is the next prime after the
+    largest prime of N(x), and s is not inert.  A walk to N(z) reaches s at
+    the node m = N(x), where cap = N(z) // m = s: s is a leaf prime equal
+    to cap, and m's value delta(x) leaves t * m^h / delta(x) the
+    denominator s^h = cap^h."""
+    small = [p for p in range(2, 50) if is_prime(p)]
+
+    def next_prime(y):
+        s = factor_rational(y.norm()).factors[-1][0] + 1
+        while not is_prime(s):
+            s += 1
+        return s
+
+    while True:
+        x = rg.one()
+        for p in rnd.choices(small, k=20):
+            if (y := x * prime_above(p, rg)).norm() * next_prime(y) <= bound:
+                x = y
+        if x.norm() > 1 and _classify(s := next_prime(x), rg) >= 0:
+            return x * prime_above(s, rg)
+
+
 REFERENCE_BOUNDS = [10**6, pytest.param(10**8, marks=pytest.mark.deep)]
 
 
@@ -644,6 +669,18 @@ class TestReferenceWalk:
                 want = reference_walk(rg, h, t, bound, odd_only)
                 assert z.norm() in want or odd_only and z.norm() % 2 == 0
                 assert sorted(search._scan(rg, 2 * h, t, bound, odd_only)) == want
+
+    def test_leaf_prime_at_cap(self, d, h, bound):
+        # t = index(z) and bound N(z) for one seeded leaf_at_cap z per ring:
+        # the hit needs the leaf test's lower end s - 1, p <= cap, and
+        # rule (a) to keep a denominator equal to cap^h.
+        rg = Ring(d)
+        z = leaf_at_cap(rg, bound, random.Random(3000 - d + bound))
+        t, nz = abundancy_index(2 * h, z), z.norm()
+        for odd_only in (False, True):
+            want = reference_walk(rg, h, t, nz, odd_only)
+            assert nz in want or odd_only and nz % 2 == 0
+            assert sorted(search._scan(rg, 2 * h, t, nz, odd_only)) == want
 
 
 WALK_GRID = Path(__file__).with_name("walk_grid.json")
